@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln
 
-from .fb_coding import _check_snr, db_to_linear, linear_to_db
-from .numerics import UnsatisfiableError, _as_count, binomial_cdf, q_func
-
-#: Search bracket for BER-threshold root-finds, in dB (1e-6 .. 1e6 linear).
-SNR_BRACKET_DB = (-60.0, 60.0)
+from .fb_coding import SNR_BRACKET_DB, _check_snr, db_to_linear, linear_to_db
+from .numerics import (
+    UnsatisfiableError,
+    _as_count,
+    _binomial_log_pmf,
+    binomial_cdf,
+    q_func,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,14 +117,7 @@ def post_decoding_ber(code: CodeSpec, p: float) -> float:
     if p == 1.0:
         return 1.0  # all n bits flip, decoding fails, min(n, n + t) = n
     j = np.arange(t + 1, n + 1)
-    log_pmf = (
-        gammaln(n + 1.0)
-        - gammaln(j + 1.0)
-        - gammaln(n - j + 1.0)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
-    weighted = np.minimum(n, j + t) * np.exp(log_pmf)
+    weighted = np.minimum(n, j + t) * np.exp(_binomial_log_pmf(j, n, p))
     return float(min(1.0, weighted.sum() / n))
 
 

@@ -6,6 +6,10 @@ fully resolved parameter set; running the same command with
 given in dB and angles in degrees on the command line and converted once
 at this boundary; all internal math is linear/radians.
 
+Each subcommand is one entry of ``_COMMANDS``: its flags and a function
+that computes a ``_Report`` without printing or writing anything.
+``_emit`` turns every report into output the same way.
+
 Exit codes: 0 success, 2 invalid arguments or config parse error,
 3 unsatisfiable scenario, 4 I/O failure.
 """
@@ -16,6 +20,7 @@ import argparse
 import math
 import sys
 from datetime import datetime, timezone
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +40,7 @@ EXIT_IO = 4
 # Config keys whose values expand to several command-line tokens.
 _LIST_KEYS = {"n_list", "q_grid", "phi_grid"}
 # Informational manifest keys that are not flags and are skipped on replay.
-_NON_REPLAY_KEYS = {"version", "timestamp", "channel_model"}
+_NON_REPLAY_KEYS = {"timestamp", "channel_model"}
 
 
 class _ConfigError(Exception):
@@ -67,15 +72,18 @@ def _parse_kv_file(path: str) -> list[tuple[int, str, str]]:
 
 
 def _config_to_flags(path: str, command: str) -> list[str]:
+    # A manifest replays byte for byte only under the command and the
+    # toolkit version that wrote it, so both are checked, not skipped.
+    checked = {"command": command, "version": __version__}
     flags: list[str] = []
     for lineno, key, value in _parse_kv_file(path):
         if key in _NON_REPLAY_KEYS:
             continue
-        if key == "command":
-            if value != command:
+        if key in checked:
+            if value != checked[key]:
                 raise _ConfigError(
-                    f"{path}:{lineno}: config is for command {value!r}, "
-                    f"not {command!r}"
+                    f"{path}:{lineno}: config is for {key} {value!r}, "
+                    f"not {checked[key]!r}"
                 )
             continue
         flags.append("--" + key.replace("_", "-"))
@@ -139,7 +147,7 @@ def _collect_params(args: argparse.Namespace, overrides: dict | None = None) -> 
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("handler", "config", "command") and v is not None
+        if k not in ("config", "command") and v is not None
     }
     if overrides:
         params.update(overrides)
@@ -160,17 +168,12 @@ def _manifest_lines(command: str, params: dict) -> list[str]:
     return lines
 
 
-def _write_manifest(out_path: str, command: str, params: dict) -> None:
+def _write_manifest(out_path: str, lines: list[str]) -> None:
     with open(out_path + ".manifest", "w", newline="") as f:
-        f.write("\n".join(_manifest_lines(command, params)) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
-def _print_manifest(command: str, params: dict) -> None:
-    for line in _manifest_lines(command, params):
-        print(line)
-
-
-def _write_csv(path: str, header: list[str], rows) -> int:
+def _write_csv(path: str, header: Sequence[str], rows) -> int:
     count = 0
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
@@ -197,6 +200,45 @@ def _maybe_svg(path: str | None, draw) -> None:
     fig.savefig(path, format="svg")
     plt.close(fig)
     print(f"wrote plot to {path}")
+
+
+class _Report(NamedTuple):
+    """What one command computed, for _emit to print and write."""
+
+    #: stdout lines, printed after the manifest echo
+    summary: Sequence[str] = ()
+    header: Sequence[str] = ()
+    #: formatted CSV rows; a generator, so no second copy of the results is held
+    rows: Iterable[tuple[str, ...]] = ()
+    #: resolved parameters the manifest records in place of the flag values
+    overrides: dict | None = None
+    #: draws the optional SVG plot onto a matplotlib axes
+    draw: Callable | None = None
+    #: set when the scenario is unsatisfiable: printed to stderr, exit 3,
+    #: nothing written
+    error: str | None = None
+
+
+def _emit(name: str, out_required: bool, args: argparse.Namespace, report: _Report) -> int:
+    """Print, write the CSV and its manifest, and plot: the same for every command.
+
+    A command whose ``--out`` is optional is a query answered on stdout,
+    so it echoes the manifest there too.
+    """
+    manifest = _manifest_lines(name, _collect_params(args, report.overrides))
+    echo = [] if out_required else manifest
+    for line in [*echo, *report.summary]:
+        print(line)
+    if report.error is not None:
+        print(f"error: {report.error}", file=sys.stderr)
+        return EXIT_UNSATISFIABLE
+    if out_required or args.out:
+        count = _write_csv(args.out, report.header, report.rows)
+        _write_manifest(args.out, manifest)
+        print(f"wrote {count} {'row' if count == 1 else 'rows'} to {args.out}")
+    if report.draw is not None:
+        _maybe_svg(args.svg, report.draw)
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +276,74 @@ def _parse_bool(text: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# command table: flags and a report function per subcommand
 # ----------------------------------------------------------------------
+
+class _Command(NamedTuple):
+    help: str
+    #: flag specs, after the --config/--out/--log-term flags every command has
+    flags: tuple
+    run: Callable[[argparse.Namespace], _Report]
+    #: a data-file command; the others answer on stdout and write a file on request
+    out_required: bool
+
+
+#: Subcommands in help order, filled by @_command.
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help_text: str, *flags, out_required: bool = False):
+    def register(run):
+        _COMMANDS[name] = _Command(help_text, flags, run, out_required)
+        return run
+
+    return register
+
+
+def _flag(name: str, kind, default, text: str, **extra) -> tuple[str, dict]:
+    """One flag spec: name, type, default and help of ``add_argument``."""
+    return name, dict(type=kind, default=default, help=text, **extra)
+
+
+_N = _flag("--n", _positive_int, None, "blocklength in channel uses", required=True)
+_SNR_B = _flag("--snr-b-db", float, 10.0, "Bob SNR in dB (default 10)")
+_SNR_E = _flag("--snr-e-db", float, 0.0, "Eve SNR in dB (default 0)")
+_SVG = _flag("--svg", None, None, "optional SVG plot path")
+_CONSTRAINT_FLAGS = (
+    _flag("--beta-b", float, 1e-6, "max decoding-error probability at Bob (default 1e-6)"),
+    _flag("--beta-e", float, 0.5, "min decoding-error probability at Eve (default 0.5)"),
+)
+_SIM_FLAGS = (
+    _flag("--seed", _u64, 12345, "master RNG seed (default 12345)"),
+    _flag("--trials", _u32, 1000, "Monte Carlo trials (default 1000)"),
+    _flag("--blocklength", _positive_int, 500, "blocklength in channel uses (default 500)"),
+    *_CONSTRAINT_FLAGS,
+)
+_CIPC_FLAGS = (
+    _flag("--p-max", float, 10.0, "maximum transmit power, linear (default 10.0)"),
+    _flag("--antennas", _positive_int, 1, "transmit antennas (default 1)"),
+    _flag("--noise-b", float, 0.01, "noise power at Bob, linear (default 0.01)"),
+    _flag("--noise-e", float, 0.1, "noise power at Eve, linear (default 0.1)"),
+    _flag("--sigma-delta", float, 0.0, "reciprocity error std per coefficient (default 0)"),
+    *_SIM_FLAGS,
+)
+_AN_FRACTION = _flag(
+    "--an-fraction", float, 0.3, "power share spent on artificial noise (default 0.3)"
+)
+_LOB_FLAGS = (
+    _flag("--antennas", _positive_int, 4, "transmit antennas (default 4)"),
+    _flag("--theta-bob-deg", float, 0.0, "Bob bearing in degrees (default 0)"),
+    _flag("--theta-eve-deg", float, 20.0, "Eve bearing in degrees (default 20)"),
+    _flag("--loc-error-deg", float, 0.0, "bearing error std in degrees (default 0)"),
+    _flag("--k-bob", float, 10.0, "Rician K factor of Bob's channel (default 10, inf = pure LOS)"),
+    _flag("--k-eve", float, 1.0, "Rician K factor of Eve's channel (default 1)"),
+    _flag("--power", float, 1.0, "total transmit power, linear (default 1.0)"),
+    _AN_FRACTION,
+    _flag("--noise-b", float, 0.01, "noise power at Bob, linear (default 0.01)"),
+    _flag("--noise-e", float, 0.01, "noise power at Eve, linear (default 0.01)"),
+    *_SIM_FLAGS,
+)
+
 
 def _approx(args) -> ApproximationConfig:
     return ApproximationConfig(include_log_term=args.log_term)
@@ -245,7 +353,26 @@ def _constraints(args) -> ConstraintPair:
     return ConstraintPair(beta_b=args.beta_b, beta_e=args.beta_e)
 
 
-def _cmd_fig2(args) -> int:
+_ASSESSMENT_COLUMNS = ["r_sup", "r_inf", "delta_r", "feasible"]
+
+
+def _assessment_cells(a) -> tuple[str, ...]:
+    return (_sci(a.r_sup), _sci(a.r_inf), _sci(a.delta_r), _bool_str(a.feasible))
+
+
+@_command(
+    "fig2",
+    "error probability vs coding rate sweep",
+    _flag("--n-list", _positive_int, [100, 200, 500, 1000, 2000],
+          "blocklengths to sweep (default 100 200 500 1000 2000)", nargs="+"),
+    _flag("--snr-db", float, 10.0, "channel SNR in dB (default 10)"),
+    _flag("--rate-min", float, None, "lowest rate (default 0.1 x capacity)"),
+    _flag("--rate-max", float, None, "highest rate (default 1.2 x capacity)"),
+    _flag("--steps", _positive_int, 200, "points in the rate grid (default 200)"),
+    _SVG,
+    out_required=True,
+)
+def _fig2(args) -> _Report:
     if args.steps < 2:
         raise ValueError("--steps must be >= 2 for a rate grid")
     gamma = db_to_linear(args.snr_db)
@@ -261,12 +388,6 @@ def _cmd_fig2(args) -> int:
         for n in args.n_list
         for r in rates
     ]
-    rows = [(str(p.n), _sci(p.rate), _sci(p.epsilon)) for p in points]
-    count = _write_csv(args.out, ["n", "rate", "epsilon"], rows)
-    _write_manifest(
-        args.out, "fig2", _collect_params(args, {"rate_min": rate_min, "rate_max": rate_max})
-    )
-    print(f"wrote {count} rows to {args.out}")
 
     def draw(ax):
         for n in args.n_list:
@@ -277,8 +398,12 @@ def _cmd_fig2(args) -> int:
         ax.legend()
         ax.grid(True, which="both", alpha=0.4)
 
-    _maybe_svg(args.svg, draw)
-    return EXIT_OK
+    return _Report(
+        header=["n", "rate", "epsilon"],
+        rows=((str(p.n), _sci(p.rate), _sci(p.epsilon)) for p in points),
+        overrides={"rate_min": rate_min, "rate_max": rate_max},
+        draw=draw,
+    )
 
 
 def _log_spaced_ints(lo: int, hi: int, count: int) -> list[int]:
@@ -288,7 +413,20 @@ def _log_spaced_ints(lo: int, hi: int, count: int) -> list[int]:
     return [int(n) for n in grid if lo <= n <= hi]
 
 
-def _cmd_fig3(args) -> int:
+@_command(
+    "fig3",
+    "rate ceiling/floor vs blocklength sweep",
+    _flag("--n-min", _positive_int, 10, "smallest blocklength (default 10)"),
+    _flag("--n-max", _positive_int, 10000, "largest blocklength (default 10000)"),
+    _flag("--n-count", _positive_int, 40,
+          "points in the log-spaced blocklength grid (default 40)"),
+    _SNR_B,
+    _SNR_E,
+    *_CONSTRAINT_FLAGS,
+    _SVG,
+    out_required=True,
+)
+def _fig3(args) -> _Report:
     n_grid = _log_spaced_ints(args.n_min, args.n_max, args.n_count)
     gamma_b = db_to_linear(args.snr_b_db)
     gamma_e = db_to_linear(args.snr_e_db)
@@ -297,15 +435,6 @@ def _cmd_fig3(args) -> int:
     assessments = [
         rate_interval(n, gamma_b, gamma_e, constraints, cfg) for n in n_grid
     ]
-    rows = [
-        (str(n), _sci(a.r_sup), _sci(a.r_inf), _sci(a.delta_r), _bool_str(a.feasible))
-        for n, a in zip(n_grid, assessments)
-    ]
-    count = _write_csv(
-        args.out, ["n", "r_b_eps", "r_e_eps", "delta_r", "feasible"], rows
-    )
-    _write_manifest(args.out, "fig3", _collect_params(args))
-    print(f"wrote {count} rows to {args.out}")
 
     def draw(ax):
         ax.semilogx(n_grid, [a.r_sup for a in assessments], label="main-channel rate ceiling")
@@ -315,64 +444,71 @@ def _cmd_fig3(args) -> int:
         ax.legend()
         ax.grid(True, which="both", alpha=0.4)
 
-    _maybe_svg(args.svg, draw)
-    return EXIT_OK
+    return _Report(
+        header=["n", "r_b_eps", "r_e_eps", "delta_r", "feasible"],
+        rows=((str(n), *_assessment_cells(a)) for n, a in zip(n_grid, assessments)),
+        draw=draw,
+    )
 
 
-def _cmd_gap(args) -> int:
+@_command(
+    "gap",
+    "security gap at a fixed rate and blocklength",
+    _N,
+    _flag("--rate", float, None, "coding rate in bits per channel use", required=True),
+    *_CONSTRAINT_FLAGS,
+)
+def _gap(args) -> _Report:
     result = security_gap(args.n, args.rate, _constraints(args), _approx(args))
-    _print_manifest("gap", _collect_params(args))
-    print(f"snr_b_min_db = {linear_to_db(result.snr_b_min):.6f}")
-    print(f"snr_e_max_db = {linear_to_db(result.snr_e_max):.6f}")
-    print(f"gap_db = {result.gap_db:.6f}")
-    print(f"gap_linear = {result.gap_linear:.9g}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["snr_b_min_db", "snr_e_max_db", "gap_db", "gap_linear"],
-            [(
-                _sci(linear_to_db(result.snr_b_min)),
-                _sci(linear_to_db(result.snr_e_max)),
-                _sci(result.gap_db),
-                _sci(result.gap_linear),
-            )],
-        )
-        _write_manifest(args.out, "gap", _collect_params(args))
-        print(f"wrote 1 row to {args.out}")
-    return EXIT_OK
+    snr_b_min_db = linear_to_db(result.snr_b_min)
+    snr_e_max_db = linear_to_db(result.snr_e_max)
+    return _Report(
+        summary=[
+            f"snr_b_min_db = {snr_b_min_db:.6f}",
+            f"snr_e_max_db = {snr_e_max_db:.6f}",
+            f"gap_db = {result.gap_db:.6f}",
+            f"gap_linear = {result.gap_linear:.9g}",
+        ],
+        header=["snr_b_min_db", "snr_e_max_db", "gap_db", "gap_linear"],
+        rows=((
+            _sci(snr_b_min_db),
+            _sci(snr_e_max_db),
+            _sci(result.gap_db),
+            _sci(result.gap_linear),
+        ),),
+    )
 
 
-def _cmd_interval(args) -> int:
-    assessment = rate_interval(
+@_command("interval", "rate interval of one scenario", _N, _SNR_B, _SNR_E, *_CONSTRAINT_FLAGS)
+def _interval(args) -> _Report:
+    a = rate_interval(
         args.n,
         db_to_linear(args.snr_b_db),
         db_to_linear(args.snr_e_db),
         _constraints(args),
         _approx(args),
     )
-    _print_manifest("interval", _collect_params(args))
-    print(f"r_sup = {assessment.r_sup:.9g}")
-    print(f"r_inf = {assessment.r_inf:.9g}")
-    print(f"delta_r = {assessment.delta_r:.9g}")
-    print(f"feasible = {_bool_str(assessment.feasible)}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["n", "r_sup", "r_inf", "delta_r", "feasible"],
-            [(
-                str(args.n),
-                _sci(assessment.r_sup),
-                _sci(assessment.r_inf),
-                _sci(assessment.delta_r),
-                _bool_str(assessment.feasible),
-            )],
-        )
-        _write_manifest(args.out, "interval", _collect_params(args))
-        print(f"wrote 1 row to {args.out}")
-    return EXIT_OK
+    return _Report(
+        summary=[
+            f"r_sup = {a.r_sup:.9g}",
+            f"r_inf = {a.r_inf:.9g}",
+            f"delta_r = {a.delta_r:.9g}",
+            f"feasible = {_bool_str(a.feasible)}",
+        ],
+        header=["n", *_ASSESSMENT_COLUMNS],
+        rows=((str(args.n), *_assessment_cells(a)),),
+    )
 
 
-def _cmd_minblock(args) -> int:
+@_command(
+    "minblock",
+    "smallest feasible blocklength",
+    _SNR_B,
+    _SNR_E,
+    _flag("--n-max", _positive_int, 10**6, "largest blocklength to consider (default 1e6)"),
+    *_CONSTRAINT_FLAGS,
+)
+def _minblock(args) -> _Report:
     n_star = min_blocklength(
         db_to_linear(args.snr_b_db),
         db_to_linear(args.snr_e_db),
@@ -380,21 +516,12 @@ def _cmd_minblock(args) -> int:
         _approx(args),
         n_max=args.n_max,
     )
-    _print_manifest("minblock", _collect_params(args))
     if n_star is None:
-        print("n_star = infeasible")
-        print(
-            f"error: no blocklength up to {args.n_max} satisfies both "
-            "constraints",
-            file=sys.stderr,
+        return _Report(
+            summary=["n_star = infeasible"],
+            error=f"no blocklength up to {args.n_max} satisfies both constraints",
         )
-        return EXIT_UNSATISFIABLE
-    print(f"n_star = {n_star}")
-    if args.out:
-        _write_csv(args.out, ["n_star"], [(str(n_star),)])
-        _write_manifest(args.out, "minblock", _collect_params(args))
-        print(f"wrote 1 row to {args.out}")
-    return EXIT_OK
+    return _Report(summary=[f"n_star = {n_star}"], header=["n_star"], rows=((str(n_star),),))
 
 
 def _cipc_config(args, q_target: float) -> CipcConfig:
@@ -413,45 +540,38 @@ def _cipc_config(args, q_target: float) -> CipcConfig:
     )
 
 
-def _print_cipc_summary(summary) -> None:
-    print(f"trials = {summary.trials}")
-    print(f"suspension_prob = {summary.suspension_prob:.6f}")
-    print(f"feasibility_prob = {summary.feasibility_prob:.6f}")
-    print(f"mean_delta_r = {summary.mean_delta_r:.9g}")
-    print(f"mean_gamma_e = {summary.mean_gamma_e:.9g}")
+def _cipc_row(rec) -> tuple[str, ...]:
+    if rec.suspended:
+        return (str(rec.trial_id), "suspended", "", "", "", "", "", "false")
+    return (
+        str(rec.trial_id),
+        _sci(rec.p_t),
+        _sci(linear_to_db(rec.gamma_b)),
+        _sci(linear_to_db(rec.gamma_e)),
+        *_assessment_cells(rec.assessment),
+    )
 
 
-def _cmd_cipc(args) -> int:
+@_command(
+    "cipc",
+    "channel-inversion power control Monte Carlo",
+    _flag("--q-target", float, 1.0, "received-power constant Q, linear (default 1.0)"),
+    *_CIPC_FLAGS,
+)
+def _cipc(args) -> _Report:
     result = run_cipc(_cipc_config(args, args.q_target))
-    _print_manifest("cipc", _collect_params(args))
-    _print_cipc_summary(result.summary)
-    if args.out:
-        rows = []
-        for rec in result.records:
-            if rec.suspended:
-                rows.append((str(rec.trial_id), "suspended", "", "", "", "", "", "false"))
-            else:
-                a = rec.assessment
-                rows.append(
-                    (
-                        str(rec.trial_id),
-                        _sci(rec.p_t),
-                        _sci(linear_to_db(rec.gamma_b)),
-                        _sci(linear_to_db(rec.gamma_e)),
-                        _sci(a.r_sup),
-                        _sci(a.r_inf),
-                        _sci(a.delta_r),
-                        _bool_str(a.feasible),
-                    )
-                )
-        count = _write_csv(
-            args.out,
-            ["trial_id", "p_t", "gamma_b_db", "gamma_e_db", "r_sup", "r_inf", "delta_r", "feasible"],
-            rows,
-        )
-        _write_manifest(args.out, "cipc", _collect_params(args))
-        print(f"wrote {count} rows to {args.out}")
-    return EXIT_OK
+    s = result.summary
+    return _Report(
+        summary=[
+            f"trials = {s.trials}",
+            f"suspension_prob = {s.suspension_prob:.6f}",
+            f"feasibility_prob = {s.feasibility_prob:.6f}",
+            f"mean_delta_r = {s.mean_delta_r:.9g}",
+            f"mean_gamma_e = {s.mean_gamma_e:.9g}",
+        ],
+        header=["trial_id", "p_t", "gamma_b_db", "gamma_e_db", *_ASSESSMENT_COLUMNS],
+        rows=(_cipc_row(rec) for rec in result.records),
+    )
 
 
 def _lob_config(args, an_fraction: float) -> LobConfig:
@@ -474,133 +594,62 @@ def _lob_config(args, an_fraction: float) -> LobConfig:
     )
 
 
-def _cmd_lob(args) -> int:
+@_command("lob", "location-based beamforming Monte Carlo", *_LOB_FLAGS)
+def _lob(args) -> _Report:
     result = run_lob(_lob_config(args, args.an_fraction))
-    summary = result.summary
-    _print_manifest("lob", _collect_params(args))
-    print(f"trials = {summary.trials}")
-    print(f"mean_sinr_bob = {summary.mean_sinr_bob:.9g}")
-    print(f"mean_sinr_eve = {summary.mean_sinr_eve:.9g}")
-    print(f"feasibility_prob = {summary.feasibility_prob:.6f}")
-    print(f"mean_delta_r = {summary.mean_delta_r:.9g}")
-    if args.out:
-        rows = [
+    s = result.summary
+    return _Report(
+        summary=[
+            f"trials = {s.trials}",
+            f"mean_sinr_bob = {s.mean_sinr_bob:.9g}",
+            f"mean_sinr_eve = {s.mean_sinr_eve:.9g}",
+            f"feasibility_prob = {s.feasibility_prob:.6f}",
+            f"mean_delta_r = {s.mean_delta_r:.9g}",
+        ],
+        header=["trial_id", "theta_hat", "sinr_bob_db", "sinr_eve_db", *_ASSESSMENT_COLUMNS],
+        rows=(
             (
                 str(rec.trial_id),
                 _sci(rec.theta_hat),
                 _db_or_neg_inf(rec.sinr_bob),
                 _db_or_neg_inf(rec.sinr_eve),
-                _sci(rec.assessment.r_sup),
-                _sci(rec.assessment.r_inf),
-                _sci(rec.assessment.delta_r),
-                _bool_str(rec.assessment.feasible),
+                *_assessment_cells(rec.assessment),
             )
             for rec in result.records
-        ]
-        count = _write_csv(
-            args.out,
-            ["trial_id", "theta_hat", "sinr_bob_db", "sinr_eve_db", "r_sup", "r_inf", "delta_r", "feasible"],
-            rows,
-        )
-        _write_manifest(args.out, "lob", _collect_params(args))
-        print(f"wrote {count} rows to {args.out}")
-    return EXIT_OK
+        ),
+    )
 
 
-def _cmd_optimize_q(args) -> int:
+def _grid_report(name: str, best: float, curve: list[tuple[float, float]]) -> _Report:
+    return _Report(
+        summary=[f"{name}_star = {best:.9g}"]
+        + [f"objective[{name}={x:.9g}] = {objective:.6f}" for x, objective in curve],
+        header=[name, "objective"],
+        rows=((_sci(x), _sci(objective)) for x, objective in curve),
+    )
+
+
+@_command(
+    "optimize-q",
+    "grid search of the received-power constant",
+    _flag("--q-grid", float, None, "Q values to evaluate", nargs="+", required=True),
+    *_CIPC_FLAGS,
+)
+def _optimize_q(args) -> _Report:
     result = optimize_q(_cipc_config(args, args.q_grid[0]), args.q_grid)
-    _print_manifest("optimize-q", _collect_params(args))
-    print(f"q_star = {result.q_star:.9g}")
-    for q, objective in result.objective_curve:
-        print(f"objective[q={q:.9g}] = {objective:.6f}")
-    if args.out:
-        rows = [(_sci(q), _sci(obj)) for q, obj in result.objective_curve]
-        count = _write_csv(args.out, ["q", "objective"], rows)
-        _write_manifest(args.out, "optimize-q", _collect_params(args))
-        print(f"wrote {count} rows to {args.out}")
-    return EXIT_OK
+    return _grid_report("q", result.q_star, result.objective_curve)
 
 
-def _cmd_optimize_an(args) -> int:
+@_command(
+    "optimize-an",
+    "grid search of the artificial-noise share",
+    _flag("--phi-grid", float, None, "artificial-noise power shares in [0, 1)",
+          nargs="+", required=True),
+    *(flag for flag in _LOB_FLAGS if flag is not _AN_FRACTION),
+)
+def _optimize_an(args) -> _Report:
     result = optimize_an_fraction(_lob_config(args, args.phi_grid[0]), args.phi_grid)
-    _print_manifest("optimize-an", _collect_params(args))
-    print(f"phi_star = {result.phi_star:.9g}")
-    for phi, objective in result.objective_curve:
-        print(f"objective[phi={phi:.9g}] = {objective:.6f}")
-    if args.out:
-        rows = [(_sci(phi), _sci(obj)) for phi, obj in result.objective_curve]
-        count = _write_csv(args.out, ["phi", "objective"], rows)
-        _write_manifest(args.out, "optimize-an", _collect_params(args))
-        print(f"wrote {count} rows to {args.out}")
-    return EXIT_OK
-
-
-# ----------------------------------------------------------------------
-# parser
-# ----------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
-    p.add_argument("--config", help="key = value file supplying defaults (a manifest replays a run)")
-    p.add_argument("--out", required=out_required, help="output CSV path")
-    p.add_argument("--log-term", type=_parse_bool, default=False, metavar="BOOL",
-                   help="include the (log2 n)/(2n) rate correction (default false)")
-
-
-def _add_constraints(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta-b", type=float, default=1e-6,
-                   help="max decoding-error probability at Bob (default 1e-6)")
-    p.add_argument("--beta-e", type=float, default=0.5,
-                   help="min decoding-error probability at Eve (default 0.5)")
-
-
-def _add_sim_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_u64, default=12345, help="master RNG seed (default 12345)")
-    p.add_argument("--trials", type=_u32, default=1000, help="Monte Carlo trials (default 1000)")
-    p.add_argument("--blocklength", type=_positive_int, default=500,
-                   help="blocklength in channel uses (default 500)")
-    _add_constraints(p)
-
-
-def _add_cipc_flags(p: argparse.ArgumentParser, with_q: bool) -> None:
-    if with_q:
-        p.add_argument("--q-target", type=float, default=1.0,
-                       help="received-power constant Q, linear (default 1.0)")
-    p.add_argument("--p-max", type=float, default=10.0,
-                   help="maximum transmit power, linear (default 10.0)")
-    p.add_argument("--antennas", type=_positive_int, default=1,
-                   help="transmit antennas (default 1)")
-    p.add_argument("--noise-b", type=float, default=0.01,
-                   help="noise power at Bob, linear (default 0.01)")
-    p.add_argument("--noise-e", type=float, default=0.1,
-                   help="noise power at Eve, linear (default 0.1)")
-    p.add_argument("--sigma-delta", type=float, default=0.0,
-                   help="reciprocity error std per coefficient (default 0)")
-    _add_sim_common(p)
-
-
-def _add_lob_flags(p: argparse.ArgumentParser, with_phi: bool) -> None:
-    p.add_argument("--antennas", type=_positive_int, default=4,
-                   help="transmit antennas (default 4)")
-    p.add_argument("--theta-bob-deg", type=float, default=0.0,
-                   help="Bob bearing in degrees (default 0)")
-    p.add_argument("--theta-eve-deg", type=float, default=20.0,
-                   help="Eve bearing in degrees (default 20)")
-    p.add_argument("--loc-error-deg", type=float, default=0.0,
-                   help="bearing error std in degrees (default 0)")
-    p.add_argument("--k-bob", type=float, default=10.0,
-                   help="Rician K factor of Bob's channel (default 10, inf = pure LOS)")
-    p.add_argument("--k-eve", type=float, default=1.0,
-                   help="Rician K factor of Eve's channel (default 1)")
-    p.add_argument("--power", type=float, default=1.0,
-                   help="total transmit power, linear (default 1.0)")
-    if with_phi:
-        p.add_argument("--an-fraction", type=float, default=0.3,
-                       help="power share spent on artificial noise (default 0.3)")
-    p.add_argument("--noise-b", type=float, default=0.01,
-                   help="noise power at Bob, linear (default 0.01)")
-    p.add_argument("--noise-e", type=float, default=0.01,
-                   help="noise power at Eve, linear (default 0.01)")
-    _add_sim_common(p)
+    return _grid_report("phi", result.phi_star, result.objective_curve)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -610,82 +659,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fblsec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fig2", help="error probability vs coding rate sweep")
-    _add_common(p, out_required=True)
-    p.add_argument("--n-list", type=_positive_int, nargs="+",
-                   default=[100, 200, 500, 1000, 2000],
-                   help="blocklengths to sweep (default 100 200 500 1000 2000)")
-    p.add_argument("--snr-db", type=float, default=10.0, help="channel SNR in dB (default 10)")
-    p.add_argument("--rate-min", type=float, default=None,
-                   help="lowest rate (default 0.1 x capacity)")
-    p.add_argument("--rate-max", type=float, default=None,
-                   help="highest rate (default 1.2 x capacity)")
-    p.add_argument("--steps", type=_positive_int, default=200,
-                   help="points in the rate grid (default 200)")
-    p.add_argument("--svg", default=None, help="optional SVG plot path")
-    p.set_defaults(handler=_cmd_fig2)
-
-    p = sub.add_parser("fig3", help="rate ceiling/floor vs blocklength sweep")
-    _add_common(p, out_required=True)
-    p.add_argument("--n-min", type=_positive_int, default=10, help="smallest blocklength (default 10)")
-    p.add_argument("--n-max", type=_positive_int, default=10000, help="largest blocklength (default 10000)")
-    p.add_argument("--n-count", type=_positive_int, default=40,
-                   help="points in the log-spaced blocklength grid (default 40)")
-    p.add_argument("--snr-b-db", type=float, default=10.0, help="Bob SNR in dB (default 10)")
-    p.add_argument("--snr-e-db", type=float, default=0.0, help="Eve SNR in dB (default 0)")
-    _add_constraints(p)
-    p.add_argument("--svg", default=None, help="optional SVG plot path")
-    p.set_defaults(handler=_cmd_fig3)
-
-    p = sub.add_parser("gap", help="security gap at a fixed rate and blocklength")
-    _add_common(p)
-    p.add_argument("--n", type=_positive_int, required=True, help="blocklength in channel uses")
-    p.add_argument("--rate", type=float, required=True, help="coding rate in bits per channel use")
-    _add_constraints(p)
-    p.set_defaults(handler=_cmd_gap)
-
-    p = sub.add_parser("interval", help="rate interval of one scenario")
-    _add_common(p)
-    p.add_argument("--n", type=_positive_int, required=True, help="blocklength in channel uses")
-    p.add_argument("--snr-b-db", type=float, default=10.0, help="Bob SNR in dB (default 10)")
-    p.add_argument("--snr-e-db", type=float, default=0.0, help="Eve SNR in dB (default 0)")
-    _add_constraints(p)
-    p.set_defaults(handler=_cmd_interval)
-
-    p = sub.add_parser("minblock", help="smallest feasible blocklength")
-    _add_common(p)
-    p.add_argument("--snr-b-db", type=float, default=10.0, help="Bob SNR in dB (default 10)")
-    p.add_argument("--snr-e-db", type=float, default=0.0, help="Eve SNR in dB (default 0)")
-    p.add_argument("--n-max", type=_positive_int, default=10**6,
-                   help="largest blocklength to consider (default 1e6)")
-    _add_constraints(p)
-    p.set_defaults(handler=_cmd_minblock)
-
-    p = sub.add_parser("cipc", help="channel-inversion power control Monte Carlo")
-    _add_common(p)
-    _add_cipc_flags(p, with_q=True)
-    p.set_defaults(handler=_cmd_cipc)
-
-    p = sub.add_parser("lob", help="location-based beamforming Monte Carlo")
-    _add_common(p)
-    _add_lob_flags(p, with_phi=True)
-    p.set_defaults(handler=_cmd_lob)
-
-    p = sub.add_parser("optimize-q", help="grid search of the received-power constant")
-    _add_common(p)
-    p.add_argument("--q-grid", type=float, nargs="+", required=True,
-                   help="Q values to evaluate")
-    _add_cipc_flags(p, with_q=False)
-    p.set_defaults(handler=_cmd_optimize_q)
-
-    p = sub.add_parser("optimize-an", help="grid search of the artificial-noise share")
-    _add_common(p)
-    p.add_argument("--phi-grid", type=float, nargs="+", required=True,
-                   help="artificial-noise power shares in [0, 1)")
-    _add_lob_flags(p, with_phi=False)
-    p.set_defaults(handler=_cmd_optimize_an)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config",
+                       help="key = value file supplying defaults (a manifest replays a run)")
+        p.add_argument("--out", required=command.out_required, help="output CSV path")
+        p.add_argument("--log-term", type=_parse_bool, default=False, metavar="BOOL",
+                       help="include the (log2 n)/(2n) rate correction (default false)")
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -702,8 +684,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return _emit(args.command, command.out_required, args, command.run(args))
     except UnsatisfiableError as e:
         print(f"error: unsatisfiable scenario: {e}", file=sys.stderr)
         return EXIT_UNSATISFIABLE

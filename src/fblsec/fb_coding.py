@@ -23,6 +23,9 @@ from .numerics import _as_count, q_func, q_func_inv
 LOG2_E = math.log2(math.e)
 #: V(g) upper limit as g -> inf, (log2 e)^2.
 DISPERSION_LIMIT = LOG2_E**2
+#: Search bracket of every SNR root-find (security gaps, BER thresholds),
+#: in dB (1e-6 .. 1e6 linear).
+SNR_BRACKET_DB = (-60.0, 60.0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -126,26 +126,21 @@ def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
     return basis
 
 
-def _sinr_from_vectors(
-    h_bob: np.ndarray,
-    h_eve: np.ndarray,
-    w: np.ndarray,
-    v_basis: np.ndarray | None,
-    cfg: LobConfig,
-) -> SinrPair:
+def _an_leakage(h: np.ndarray, w: np.ndarray) -> float:
+    """||h^H V||^2 for an orthonormal basis V of the null space of the unit beam w.
+
+    V V^H = I - w w^H, so this is ||h||^2 - |w^H h|^2 and no basis is
+    built; rounding can push the difference just below zero, hence the clamp.
+    """
+    return max(0.0, float(np.vdot(h, h).real) - abs(np.vdot(w, h)) ** 2)
+
+
+def _sinr(h: np.ndarray, w: np.ndarray, cfg: LobConfig, noise_power: float) -> float:
     info_power = (1.0 - cfg.an_fraction) * cfg.total_power
     an_power = cfg.an_fraction * cfg.total_power
-
-    def one(h: np.ndarray, noise: float) -> float:
-        signal = info_power * abs(np.vdot(h, w)) ** 2
-        an = 0.0
-        if an_power > 0.0 and v_basis is not None:
-            an = an_power / (cfg.n_antennas - 1) * float(
-                np.linalg.norm(h.conj() @ v_basis) ** 2
-            )
-        return signal / (an + noise)
-
-    return SinrPair(one(h_bob, cfg.noise_power_bob), one(h_eve, cfg.noise_power_eve))
+    signal = info_power * abs(np.vdot(h, w)) ** 2
+    an = an_power / (cfg.n_antennas - 1) * _an_leakage(h, w)
+    return signal / (an + noise_power)
 
 
 def sinr_pair(
@@ -162,8 +157,10 @@ def sinr_pair(
     """
     theta = cfg.theta_bob if theta_hat is None else float(theta_hat)
     w = lob_beamformer(theta, cfg.n_antennas)
-    v_basis = an_basis(theta, cfg.n_antennas) if cfg.an_fraction > 0.0 else None
-    return _sinr_from_vectors(np.asarray(h_bob), np.asarray(h_eve), w, v_basis, cfg)
+    return SinrPair(
+        _sinr(np.asarray(h_bob), w, cfg, cfg.noise_power_bob),
+        _sinr(np.asarray(h_eve), w, cfg, cfg.noise_power_eve),
+    )
 
 
 def _assess(n: int, sinr_bob: float, sinr_eve: float, constraints, approx) -> SecrecyAssessment:
@@ -205,12 +202,6 @@ def run_lob(cfg: LobConfig) -> LobResult:
     base = cfg.seed.stream_id
     spec_bob = RicianSpec(cfg.k_factor_bob, cfg.theta_bob, cfg.n_antennas)
     spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
-    needs_an = cfg.an_fraction > 0.0
-
-    fixed_bearing = cfg.location_error_std == 0.0
-    if fixed_bearing:
-        w = lob_beamformer(cfg.theta_bob, cfg.n_antennas)
-        v_basis = an_basis(cfg.theta_bob, cfg.n_antennas) if needs_an else None
 
     records: list[LobRecord] = []
     feasible = 0
@@ -220,17 +211,16 @@ def run_lob(cfg: LobConfig) -> LobResult:
 
     for t in range(cfg.trials):
         stream = base + STREAMS_PER_TRIAL * t
-        if fixed_bearing:
-            theta_hat = cfg.theta_bob
-        else:
+        theta_hat = cfg.theta_bob
+        if cfg.location_error_std > 0.0:
             err = source.stream(stream + _ROLE_BEARING).standard_normal()
-            theta_hat = cfg.theta_bob + cfg.location_error_std * float(err)
+            theta_hat += cfg.location_error_std * float(err)
             theta_hat = min(max(theta_hat, -_ANGLE_LIMIT), _ANGLE_LIMIT)
-            w = lob_beamformer(theta_hat, cfg.n_antennas)
-            v_basis = an_basis(theta_hat, cfg.n_antennas) if needs_an else None
+        w = lob_beamformer(theta_hat, cfg.n_antennas)
         h_bob = sample_rician(spec_bob, source.stream(stream + _ROLE_BOB))
         h_eve = sample_rician(spec_eve, source.stream(stream + _ROLE_EVE))
-        sinr_bob, sinr_eve = _sinr_from_vectors(h_bob, h_eve, w, v_basis, cfg)
+        sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob)
+        sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve)
         assessment = _assess(
             cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx
         )

@@ -93,15 +93,19 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    j = np.arange(k + 1)
-    log_pmf = (
+    log_pmf = _binomial_log_pmf(np.arange(k + 1), n, p)
+    return float(min(1.0, math.exp(logsumexp(log_pmf))))
+
+
+def _binomial_log_pmf(j: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log P(X = j) for X ~ Binomial(n, p), 0 < p < 1, from lgamma."""
+    return (
         gammaln(n + 1.0)
         - gammaln(j + 1.0)
         - gammaln(n - j + 1.0)
         + j * math.log(p)
         + (n - j) * math.log1p(-p)
     )
-    return float(min(1.0, math.exp(logsumexp(log_pmf))))
 
 
 def _as_count(value, name: str) -> int:

@@ -24,13 +24,11 @@ from . import fb_coding
 from .fb_coding import (
     ApproximationConfig,
     DEFAULT_APPROXIMATION,
+    SNR_BRACKET_DB,
     db_to_linear,
     linear_to_db,
 )
 from .numerics import UnsatisfiableError, q_func_inv
-
-#: Search bracket for SNR root-finds, in dB (1e-6 .. 1e6 linear).
-SNR_BRACKET_DB = (-60.0, 60.0)
 
 
 @dataclass(frozen=True, slots=True)

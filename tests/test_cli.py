@@ -1,4 +1,7 @@
-from fblsec.cli import main
+import pytest
+
+from fblsec import __version__
+from fblsec.cli import _COMMANDS, main
 from fblsec.fb_coding import capacity, db_to_linear
 
 
@@ -225,3 +228,50 @@ class TestErrorPaths:
         )
         _, body = rows(out)
         assert len(body) == 4  # explicit flag beats the file
+
+
+# A small run of every command, for the checks that hold across the table.
+SMALL_ARGV = {
+    "fig2": ["--n-list", "300", "--steps", "10"],
+    "fig3": ["--n-count", "5"],
+    "gap": ["--n", "500", "--rate", "1.0"],
+    "interval": ["--n", "500"],
+    "minblock": [],
+    "cipc": ["--trials", "20", "--sigma-delta", "0.1"],
+    "lob": ["--trials", "20", "--loc-error-deg", "2"],
+    "optimize-q": ["--q-grid", "0.5", "1.0", "--trials", "20"],
+    "optimize-an": ["--phi-grid", "0.0", "0.3", "--trials", "20"],
+}
+
+
+class TestEveryCommand:
+    def test_table_and_cases_agree(self):
+        assert set(SMALL_ARGV) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", list(SMALL_ARGV))
+    def test_manifest_replay(self, command, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([command, *SMALL_ARGV[command], "--out", str(a)]) == 0
+        echoed = capsys.readouterr().out.startswith("# fblsec run manifest")
+        assert echoed == (command not in ("fig2", "fig3"))
+        assert main([command, "--config", str(a) + ".manifest", "--out", str(b)]) == 0
+        assert read(a) == read(b)
+
+    def test_manifest_of_another_version_refused(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        assert main(["gap", *SMALL_ARGV["gap"], "--out", str(a)]) == 0
+        manifest = tmp_path / "a.csv.manifest"
+        text = manifest.read_text()
+        assert f"version = {__version__}\n" in text
+        manifest.write_text(text.replace(f"version = {__version__}\n", "version = 0.0.0\n"))
+        capsys.readouterr()
+        code = main(["gap", "--config", str(manifest), "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "0.0.0" in err and __version__ in err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_one_row_is_reported_in_the_singular(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["cipc", "--trials", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote 1 row to {out}\n")

@@ -7,6 +7,7 @@ import pytest
 from fblsec.channels import sample_rician, steering_vector, RicianSpec
 from fblsec.lob import (
     LobConfig,
+    _an_leakage,
     an_basis,
     lob_beamformer,
     optimize_an_fraction,
@@ -71,6 +72,21 @@ class TestAnBasis:
     def test_single_antenna_rejected(self):
         with pytest.raises(ValueError):
             an_basis(0.0, 1)
+
+
+class TestAnLeakage:
+    def test_closed_form_matches_null_space_basis(self):
+        rng = np.random.default_rng(20190620)
+        for n in range(2, 17):
+            for k in range(25):
+                theta = rng.uniform(-1.5, 1.5)
+                h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                if k % 5 == 0:  # nearly on the beam, where the difference cancels
+                    h = steering_vector(theta, n) * (1.0 + 0.5j) + 1e-7 * h
+                expected = np.linalg.norm(h.conj() @ an_basis(theta, n)) ** 2
+                leakage = _an_leakage(h, lob_beamformer(theta, n))
+                assert leakage >= 0.0
+                assert abs(leakage - expected) <= 1e-12 * np.vdot(h, h).real
 
 
 class TestSinrPair:

@@ -1,6 +1,9 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblsec.fb_coding import (
     ApproximationConfig,
@@ -231,3 +234,28 @@ class TestMinBlocklength:
         assert rate_interval(1, gb, ge, cp).feasible
         assert not rate_interval(10, gb, ge, cp).feasible
         assert min_blocklength(gb, ge, cp) == 1
+
+
+class TestMinBlocklengthAgainstScan:
+    """The bracketed bisection must find what a scan of every n finds."""
+
+    @given(
+        snr_b_db=st.floats(-10.0, 30.0),
+        snr_e_db=st.floats(-10.0, 30.0),
+        beta_b=st.floats(1e-9, 0.6),
+        beta_e=st.floats(1e-3, 0.99),
+        log_term=st.booleans(),
+        n_max=st.integers(1, 2000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_linear_scan(self, snr_b_db, snr_e_db, beta_b, beta_e, log_term, n_max):
+        gb, ge = db_to_linear(snr_b_db), db_to_linear(snr_e_db)
+        cfg = ApproximationConfig(include_log_term=log_term)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cp = ConstraintPair(beta_b, beta_e)
+            scan = next(
+                (n for n in range(1, n_max + 1) if rate_interval(n, gb, ge, cp, cfg).feasible),
+                None,
+            )
+            assert min_blocklength(gb, ge, cp, cfg, n_max=n_max) == scan

@@ -1,0 +1,227 @@
+"""Compare the CLI of two fblsec source trees on a fixed set of command lines.
+
+usage: python tools/cli_diff.py OLD_SRC NEW_SRC [--lob-tol]
+
+Each case runs every command line of its list, in order, in a fresh
+interpreter inside one empty directory, and records the exit code, stdout,
+stderr and every file left behind. The manifest ``timestamp`` line and the
+``file.py:line:`` prefix of Python warnings are masked, since neither is
+output of the program. SVG files are left out because matplotlib may be
+absent. The argparse spec of every subcommand (flags, dests, types,
+defaults, required-ness, nargs, metavar, help) is compared too.
+
+A case passes when both trees give identical results, or when the only
+differences are allowed: "wrote 1 rows" becoming "wrote 1 row", and, with
+--lob-tol, numeric cells of ``lob`` CSVs and summary values that agree to
+1e-12 relative. The exit code is 1 when any case differs otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+RUN = "import sys; from fblsec.cli import main; sys.exit(main(sys.argv[1:]))"
+SPEC = r"""
+import argparse, json
+from fblsec import cli
+
+def dump(parser):
+    return [(a.option_strings, a.dest, getattr(a.type, "__name__", repr(a.type)), repr(a.default),
+             a.required, a.nargs, a.metavar, a.help) for a in parser._actions
+            if not isinstance(a, argparse._SubParsersAction)]
+
+parser = cli._build_parser()
+spec = {"": dump(parser)}
+for action in parser._actions:
+    if isinstance(action, argparse._SubParsersAction):
+        spec.update((name, dump(sub)) for name, sub in action.choices.items())
+print(json.dumps(spec))
+"""
+COMMANDS = ("fig2", "fig3", "gap", "interval", "minblock", "cipc", "lob", "optimize-q", "optimize-an")
+FILES = {"bad.cfg": "# fine\nnot a pair\n", "c.cfg": "steps = 10\nn_list = 50\n"}
+
+
+def _one(*argv: str) -> list[list[str]]:
+    return [list(argv)]
+
+
+CASES = [
+    _one("fig2", "--out", "f.csv", "--n-list", "100", "200", "--steps", "20"),
+    _one("fig2", "--out", "f.csv", "--n-list", "128", "--steps", "2", "--rate-min", "0.5",
+         "--rate-max", "4", "--log-term", "true"),
+    _one("fig2", "--out", "f.csv", "--steps", "5", "--svg", "f.svg"),
+    _one("fig3", "--out", "f.csv", "--n-count", "15"),
+    _one("fig3", "--out", "f.csv", "--n-min", "50", "--n-max", "50"),
+    _one("fig3", "--out", "f.csv", "--n-count", "5", "--svg", "f.svg"),
+    _one("gap", "--n", "500", "--rate", "1.0"),
+    _one("gap", "--n", "500", "--rate", "1.0", "--out", "g.csv"),
+    _one("interval", "--n", "500"),
+    _one("interval", "--n", "300", "--snr-b-db", "3", "--snr-e-db", "3", "--out", "i.csv"),
+    _one("interval", "--n", "500", "--beta-b", "0.6", "--beta-e", "0.7"),
+    _one("minblock"),
+    _one("minblock", "--out", "m.csv", "--log-term", "true"),
+    _one("cipc", "--trials", "50", "--sigma-delta", "0.05", "--seed", "7"),
+    _one("cipc", "--trials", "200", "--antennas", "4", "--p-max", "3", "--sigma-delta", "0.05",
+         "--out", "c.csv"),
+    _one("cipc", "--trials", "1", "--out", "c.csv"),
+    _one("cipc", "--trials", "20", "--out=c.csv", "--config=c.cfg"),
+    _one("lob", "--trials", "30", "--loc-error-deg", "2"),
+    _one("lob", "--trials", "200", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4",
+         "--out", "l.csv"),
+    _one("lob", "--trials", "25", "--an-fraction", "1.0", "--out", "l.csv"),
+    _one("lob", "--trials", "50", "--out", "l.csv"),
+    _one("lob", "--trials", "40", "--antennas", "8", "--k-bob", "inf", "--loc-error-deg", "1",
+         "--out", "l.csv"),
+    _one("optimize-q", "--q-grid", "0.5", "1", "2", "--trials", "60"),
+    _one("optimize-q", "--q-grid", "0.5", "1", "2", "--trials", "60", "--out", "q.csv"),
+    _one("optimize-q", "--q-grid", "1", "--trials", "10", "--out", "q.csv"),
+    _one("optimize-an", "--phi-grid", "0", "0.3", "0.6", "--trials", "40", "--loc-error-deg", "2"),
+    _one("optimize-an", "--phi-grid", "0", "0.3", "0.6", "--trials", "40", "--loc-error-deg", "2",
+         "--out", "a.csv"),
+    # error paths
+    _one("gap", "--n", "500", "--rate", "99"),
+    _one("minblock", "--snr-b-db", "0", "--snr-e-db", "10", "--n-max", "1000", "--out", "m.csv"),
+    _one("optimize-an", "--phi-grid", "0", "1.0", "--trials", "10"),
+    _one("fig2", "--out", "f.csv", "--steps", "ten"),
+    _one("cipc", "--no-such-flag"),
+    _one("lob", "--antennas"),
+    _one("optimize-an", "--trials", "5"),
+    _one("never-heard-of-it"),
+    _one(),
+    _one("--version"),
+    _one("fig2"),
+    _one("gap", "--n", "500"),
+    _one("fig2", "--out", "nodir/f.csv"),
+    _one("gap", "--n", "500", "--rate", "1.0", "--out", "nodir/g.csv"),
+    _one("fig2", "--out", "", "--steps", "5"),
+    _one("gap", "--n", "500", "--rate", "1.0", "--out", ""),
+    _one("fig2", "--out", "f.csv", "--steps", "1"),
+    _one("fig2", "--out", "f.csv", "--rate-min", "2", "--rate-max", "1"),
+    _one("fig3", "--out", "f.csv", "--n-min", "20", "--n-max", "10"),
+    _one("cipc", "--trials", "0"),
+    _one("lob", "--antennas", "1"),
+    # config files and manifest replay
+    [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
+     ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
+    [["fig2", "--out", "a.csv", "--n-list", "50", "--steps", "5"],
+     ["fig3", "--config", "a.csv.manifest", "--out", "b.csv"]],
+    [["cipc", "--trials", "30", "--sigma-delta", "0.1", "--out", "a.csv"],
+     ["cipc", "--config", "a.csv.manifest", "--out", "b.csv"]],
+    [["lob", "--trials", "30", "--loc-error-deg", "2", "--out", "a.csv"],
+     ["lob", "--config", "a.csv.manifest", "--out", "b.csv"]],
+    [["optimize-an", "--phi-grid", "0.1", "0.2", "--trials", "20", "--out", "a.csv"],
+     ["optimize-an", "--config", "a.csv.manifest", "--trials", "25", "--out", "b.csv"]],
+    _one("fig2", "--out", "o.csv", "--config", "bad.cfg"),
+    _one("fig2", "--config", "c.cfg", "--steps", "4", "--out", "o.csv"),
+    _one("fig2", "--config", "missing.cfg", "--out", "o.csv"),
+    _one("-h"),
+] + [_one(name, "-h") for name in COMMANDS]
+
+
+def _mask(text: str) -> str:
+    text = re.sub(r"^timestamp = .*$", "timestamp = <masked>", text, flags=re.M)
+    return re.sub(r"^\S+\.py:\d+: ", "<source>: ", text, flags=re.M)
+
+
+def collect(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="100")
+    spec = subprocess.run([sys.executable, "-c", SPEC], env=env, capture_output=True,
+                          text=True, check=True)
+    result = {"<parser spec>": json.loads(spec.stdout)}
+    for steps in CASES:
+        with tempfile.TemporaryDirectory() as d:
+            for name, text in FILES.items():
+                with open(os.path.join(d, name), "w") as f:
+                    f.write(text)
+            runs = []
+            for argv in steps:
+                p = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=d, env=env,
+                                   capture_output=True, text=True)
+                runs.append({"code": p.returncode, "stdout": _mask(p.stdout),
+                             "stderr": _mask(p.stderr)})
+            files = {}
+            for name in sorted(os.listdir(d)):
+                if name not in FILES and not name.endswith(".svg"):
+                    with open(os.path.join(d, name)) as f:
+                        files[name] = _mask(f.read())
+        result[" ; ".join(" ".join(argv) for argv in steps)] = {"runs": runs, "files": files}
+    return result
+
+
+def _close(x: str, y: str) -> bool:
+    try:
+        return x == y or math.isclose(float(x), float(y), rel_tol=1e-12, abs_tol=0.0)
+    except ValueError:
+        return False
+
+
+def differences(key: str, old: dict, new: dict, lob_tol: bool) -> tuple[list[str], list[str]]:
+    """(allowed, disallowed) differences of one case."""
+    allowed, bad = [], []
+    lob = lob_tol and key.split(" ")[0] == "lob"
+    for r_old, r_new in zip(old["runs"], new["runs"]):
+        for stream in ("code", "stderr"):
+            if r_old[stream] != r_new[stream]:
+                bad.append(f"{stream}: {r_old[stream]!r} vs {r_new[stream]!r}"[:300])
+        lines_old, lines_new = r_old["stdout"].split("\n"), r_new["stdout"].split("\n")
+        if len(lines_old) != len(lines_new):
+            bad.append("stdout line count")
+        for x, y in zip(lines_old, lines_new):
+            if x == y:
+                continue
+            if x.replace("wrote 1 rows", "wrote 1 row") == y:
+                allowed.append("wrote 1 row")
+            elif lob and x.split(" = ")[0] == y.split(" = ")[0] and _close(
+                x.split(" = ")[-1], y.split(" = ")[-1]
+            ):
+                allowed.append("summary value within 1e-12")
+            else:
+                bad.append(f"stdout: {x!r} vs {y!r}")
+    if sorted(old["files"]) != sorted(new["files"]):
+        bad.append(f"files {sorted(old['files'])} vs {sorted(new['files'])}")
+    for name, text_old in old["files"].items():
+        text_new = new["files"].get(name)
+        if text_new is None or text_old == text_new:
+            continue
+        rows_old, rows_new = text_old.split("\n"), text_new.split("\n")
+        if lob and len(rows_old) == len(rows_new) and all(
+            len(a.split(",")) == len(b.split(","))
+            and all(_close(p, q) for p, q in zip(a.split(","), b.split(",")))
+            for a, b in zip(rows_old, rows_new)
+        ):
+            changed = sum(a != b for a, b in zip(rows_old, rows_new))
+            allowed.append(f"{name}: {changed} rows within 1e-12 relative")
+        else:
+            bad.append(f"file {name} differs")
+    return allowed, bad
+
+
+def main() -> int:
+    old_src, new_src = sys.argv[1], sys.argv[2]
+    lob_tol = "--lob-tol" in sys.argv[3:]
+    old, new = collect(old_src), collect(new_src)
+    identical = allowed_count = bad_count = 0
+    for key in old:
+        if old[key] == new[key]:
+            identical += 1
+            continue
+        if key == "<parser spec>":
+            print("DIFFERS <parser spec>")
+            bad_count += 1
+            continue
+        allowed, bad = differences(key, old[key], new[key], lob_tol)
+        print(("DIFFERS " if bad else "ALLOWED ") + key + " :: " + "; ".join(sorted(set(allowed + bad))))
+        bad_count += bool(bad)
+        allowed_count += not bad
+    print(f"identical={identical} allowed={allowed_count} differing={bad_count} total={len(old)}")
+    return 1 if bad_count else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
