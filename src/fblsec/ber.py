@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fb_coding import SNR_BRACKET_DB, _check_snr, db_to_linear, linear_to_db
 from .numerics import (
@@ -159,6 +158,8 @@ def _solve_snr_for_ber(
                 f"{side}: post-decoding BER never reaches {target}; its "
                 f"ceiling at zero SNR is {ceiling:.6g}"
             )
+
+    from scipy.optimize import brentq  # on first use, as in secrecy
 
     root_db = brentq(
         lambda snr_db: ber_at(db_to_linear(snr_db)) - target, lo_db, hi_db, xtol=1e-12

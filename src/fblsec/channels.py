@@ -4,8 +4,9 @@ Channels are complex coefficient vectors, one entry per antenna, with
 unit average power per entry (E||h||^2 = N). The array model is a
 uniform linear array at half-wavelength spacing; line-of-sight structure
 enters through its steering vector. Every sampler is deterministic given
-an RngSeed, and accepts an already-positioned numpy Generator so Monte
-Carlo loops can run one keyed substream per trial.
+an RngSeed (or an already-positioned numpy Generator) and prefix-stable:
+row t of a (size, N) batch is the same for every size, and a single
+vector equals row 0, so a simulator draws all its trials in one call.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def _check_antennas(n) -> int:
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     # Circularly-symmetric, unit variance per entry (real/imag at 1/2 each).
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _SQRT_HALF
+    # Real and imaginary parts are drawn interleaved, entry by entry, which
+    # makes every batch a prefix of any larger one.
+    pairs = rng.standard_normal((*shape, 2))
+    return pairs.view(np.complex128)[..., 0] * _SQRT_HALF
 
 
 def sample_rayleigh(
@@ -86,17 +90,17 @@ def sample_rayleigh(
     return _complex_normal(rng, shape)
 
 
-def steering_vector(aoa_radians: float, n_antennas: int) -> np.ndarray:
+def steering_vector(aoa_radians, n_antennas: int) -> np.ndarray:
     """Half-wavelength ULA response a_k = exp(i*pi*k*sin(theta)), k = 0..N-1.
 
-    Unit-modulus entries, so ||a||^2 = N exactly.
+    Unit-modulus entries, so ||a||^2 = N exactly. An array of angles gives
+    one response per angle along a new last axis.
     """
-    aoa = float(aoa_radians)
-    if not abs(aoa) < math.pi / 2:
-        raise ValueError(f"angle of arrival must lie in (-pi/2, pi/2), got {aoa!r}")
+    aoa = np.asarray(aoa_radians, dtype=float)
+    if not np.all(np.abs(aoa) < math.pi / 2):
+        raise ValueError(f"angle of arrival must lie in (-pi/2, pi/2), got {aoa_radians!r}")
     n = _check_antennas(n_antennas)
-    k = np.arange(n)
-    return np.exp(1j * math.pi * math.sin(aoa) * k)
+    return np.exp(1j * math.pi * np.sin(aoa)[..., np.newaxis] * np.arange(n))
 
 
 def sample_rician(
@@ -120,7 +124,8 @@ def apply_reciprocity_error(
 ) -> np.ndarray:
     """Uplink channel h_d + delta with per-entry perturbation variance sigma^2.
 
-    sigma_delta = 0 returns an exact copy of h_d and draws nothing.
+    h_d may be one vector or a (trials, N) batch. sigma_delta = 0 returns
+    an exact copy of h_d and draws nothing.
     """
     h_d = np.asarray(h_d)
     if err.sigma_delta == 0.0:

@@ -10,9 +10,10 @@ trial. The eavesdropper observes through an independent Rayleigh channel
 and sees a randomly varying transmit power.
 
 Per trial the secrecy outcome is the rate-interval assessment of the
-realized (SNR_bob, SNR_eve) pair. Trials use disjoint keyed substreams,
-so any single trial is reproducible in isolation and results do not
-depend on execution order.
+realized (SNR_bob, SNR_eve) pair. Each random role (downlink channel,
+reciprocity error, Eve's channel) has its own keyed stream and draws all
+its trials in one call, so the first k trials do not depend on how many
+trials follow.
 """
 
 from __future__ import annotations
@@ -25,15 +26,13 @@ import numpy as np
 
 from .channels import ReciprocityError, _check_antennas, apply_reciprocity_error, sample_rayleigh
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
-from .numerics import RngSeed, SubstreamSource, _as_count
+from .numerics import RngSeed, _as_count
 from .secrecy import ConstraintPair, SecrecyAssessment, rate_interval
 
-# Keyed substream roles within one trial; trial t uses stream ids
-# base + STREAMS_PER_TRIAL*t + role.
+# Keyed stream of each random role: stream id base + role.
 _ROLE_CHANNEL = 0
 _ROLE_RECIPROCITY = 1
 _ROLE_EVE = 2
-STREAMS_PER_TRIAL = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,9 +50,6 @@ class CipcConfig:
     trials: int
     seed: RngSeed
     approx: ApproximationConfig = DEFAULT_APPROXIMATION
-    #: Clamp the transmit power at p_max instead of suspending. Breaks the
-    #: constant-received-power property; off by default.
-    clamp_power: bool = False
 
     def __post_init__(self):
         for name in ("q_target", "noise_power_bob", "noise_power_eve"):
@@ -86,13 +82,14 @@ class SimRecord:
 
 @dataclass(frozen=True, slots=True)
 class CipcSummary:
+    """Run statistics; the last three are over transmitted trials (nan if none)."""
+
     trials: int
     suspension_prob: float
     #: Fraction of transmitted (non-suspended) trials that were feasible.
     feasibility_prob: float
     mean_delta_r: float
     mean_gamma_e: float
-    skipped_trials: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,91 +99,90 @@ class CipcResult:
 
 
 def cipc_beamformer(h_d: np.ndarray) -> np.ndarray:
-    """Transmit beamformer conj(h_d)/||h_d||; unit norm by construction."""
+    """Transmit beamformer conj(h_d)/||h_d||; unit norm by construction.
+
+    A (trials, N) batch gives one beamformer per row.
+    """
     h_d = np.asarray(h_d)
-    norm = np.linalg.norm(h_d)
-    if norm == 0.0:
+    gain = np.vecdot(h_d, h_d).real
+    if np.any(gain == 0.0):
         raise ValueError("degenerate channel: cannot beamform on a zero vector")
-    return h_d.conj() / norm
+    return h_d.conj() / np.sqrt(gain)[..., np.newaxis]
 
 
-def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> float | None:
+def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> float | np.ndarray | None:
     """Inverted transmit power Q/||h||^2 for the channel the transmitter knows.
 
     Returns None when the required power exceeds p_max (truncated
-    inversion, trial suspended), unless cfg.clamp_power caps it at p_max.
+    inversion, trial suspended). A (trials, N) batch gives one power per
+    row, nan on the suspended rows.
     """
     h_known = np.asarray(h_known)
-    gain = float(np.linalg.norm(h_known) ** 2)
-    if gain == 0.0:
+    gain = np.vecdot(h_known, h_known).real
+    if np.any(gain == 0.0):
         raise ValueError("degenerate channel: zero gain cannot be inverted")
     p_t = cfg.q_target / gain
-    if p_t > cfg.p_max:
-        return cfg.p_max if cfg.clamp_power else None
-    return p_t
+    p_t = np.where(p_t > cfg.p_max, np.nan, p_t)
+    if p_t.ndim:
+        return p_t
+    return None if math.isnan(p_t) else float(p_t)
+
+
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else math.nan
 
 
 def run_cipc(cfg: CipcConfig) -> CipcResult:
     """Monte Carlo over fading: returns per-trial records plus a summary.
 
-    Per trial: draw the downlink channel h_d (Rayleigh), perturb into the
-    true uplink h_u per the reciprocity error, invert power on h_d, then
-    score the realized Bob/Eve SNR pair through the rate interval. With
-    zero reciprocity error every transmitted trial delivers exactly
-    q_target to Bob.
+    Per trial: draw the downlink channel h_d (Rayleigh) and invert power
+    on it; a transmitted trial then perturbs h_d into the true uplink h_u
+    per the reciprocity error, draws Eve's channel and scores the realized
+    Bob/Eve SNR pair through the rate interval. Suspended trials draw
+    nothing beyond h_d. With zero reciprocity error every transmitted
+    trial delivers exactly q_target to Bob.
     """
-    source = SubstreamSource(cfg.seed.master_seed)
     base = cfg.seed.stream_id
-    records: list[SimRecord] = []
-    suspended = 0
-    skipped = 0
-    feasible = 0
-    sum_delta_r = 0.0
-    sum_gamma_e = 0.0
+    h_d = sample_rayleigh(
+        cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_CHANNEL), size=cfg.trials
+    )
+    p_t = cipc_power(h_d, cfg)
+    sent = ~np.isnan(p_t)
+    h_d, p_t = h_d[sent], p_t[sent]
+    w = cipc_beamformer(h_d)
+    h_u = apply_reciprocity_error(
+        h_d, cfg.reciprocity, cfg.seed.stream(base + _ROLE_RECIPROCITY)
+    )
+    g = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_EVE), size=len(p_t))
+    rx_bob = p_t * np.abs(np.vecdot(h_u.conj(), w)) ** 2  # |h_u^T w|^2
+    gamma_b = (rx_bob / cfg.noise_power_bob).tolist()
+    gamma_e = (p_t * np.abs(np.vecdot(g, w)) ** 2 / cfg.noise_power_eve).tolist()
+    assessments = [
+        rate_interval(cfg.blocklength, b, e, cfg.constraints, cfg.approx)
+        for b, e in zip(gamma_b, gamma_e)
+    ]
 
-    for t in range(cfg.trials):
-        stream = base + STREAMS_PER_TRIAL * t
-        h_d = sample_rayleigh(cfg.n_antennas_tx, source.stream(stream + _ROLE_CHANNEL))
-        try:
-            w = cipc_beamformer(h_d)
-            p_t = cipc_power(h_d, cfg)
-        except ValueError:
-            skipped += 1
-            continue
-        if p_t is None:
-            suspended += 1
-            records.append(SimRecord(t, None, None, None, None, None))
-            continue
-        h_u = apply_reciprocity_error(
-            h_d, cfg.reciprocity, source.stream(stream + _ROLE_RECIPROCITY)
-        )
-        rx_bob = p_t * abs(np.dot(h_u, w)) ** 2
-        gamma_b = rx_bob / cfg.noise_power_bob
-        g = sample_rayleigh(cfg.n_antennas_tx, source.stream(stream + _ROLE_EVE))
-        gamma_e = p_t * abs(np.vdot(g, w)) ** 2 / cfg.noise_power_eve
-        assessment = rate_interval(
-            cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx
-        )
-        records.append(SimRecord(t, p_t, rx_bob, gamma_b, gamma_e, assessment))
-        feasible += assessment.feasible
-        sum_delta_r += assessment.delta_r
-        sum_gamma_e += gamma_e
-
-    active = len(records) - suspended
-    counted = cfg.trials - skipped
+    # Transmitted records, in trial order, fill the slots of unsuspended trials.
+    ids = np.flatnonzero(sent).tolist()
+    transmitted = map(SimRecord, ids, p_t.tolist(), rx_bob.tolist(), gamma_b, gamma_e, assessments)
+    records = [
+        next(transmitted) if s else SimRecord(t, None, None, None, None, None)
+        for t, s in enumerate(sent.tolist())
+    ]
     summary = CipcSummary(
         trials=cfg.trials,
-        suspension_prob=suspended / counted if counted else math.nan,
-        feasibility_prob=feasible / active if active else 0.0,
-        mean_delta_r=sum_delta_r / active if active else math.nan,
-        mean_gamma_e=sum_gamma_e / active if active else math.nan,
-        skipped_trials=skipped,
+        suspension_prob=(cfg.trials - len(assessments)) / cfg.trials,
+        feasibility_prob=_mean([a.feasible for a in assessments]),
+        mean_delta_r=_mean([a.delta_r for a in assessments]),
+        mean_gamma_e=_mean(gamma_e),
     )
     return CipcResult(records=records, summary=summary)
 
 
 def default_q_objective(summary: CipcSummary) -> float:
     """Probability of a transmitted and feasible trial."""
+    if summary.suspension_prob == 1.0:
+        return 0.0  # nothing transmitted, so feasibility_prob is nan
     return summary.feasibility_prob * (1.0 - summary.suspension_prob)
 
 

@@ -232,7 +232,7 @@ def _emit(name: str, out_required: bool, args: argparse.Namespace, report: _Repo
     if report.error is not None:
         print(f"error: {report.error}", file=sys.stderr)
         return EXIT_UNSATISFIABLE
-    if out_required or args.out:
+    if args.out is not None:
         count = _write_csv(args.out, report.header, report.rows)
         _write_manifest(args.out, manifest)
         print(f"wrote {count} {'row' if count == 1 else 'rows'} to {args.out}")

@@ -6,7 +6,9 @@ spends a fraction phi of its power on artificial noise spread evenly over
 the beam's null space. A receiver whose channel is pure LOS at exactly
 the steered angle sees no artificial noise at all; scatter (finite Rician
 K) or bearing error leaks some of it. Per trial the realized Bob/Eve
-SINRs are scored through the rate-interval assessment.
+SINRs are scored through the rate-interval assessment. Each random role
+(bearing error, Bob's channel, Eve's channel) has its own keyed stream
+and draws all its trials in one call.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import fb_coding
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
-from .numerics import RngSeed, SubstreamSource, _as_count
+from .numerics import RngSeed, _as_count, sample_standard_normal
 from .secrecy import ConstraintPair, SecrecyAssessment, r_inf, rate_interval
 
+# Keyed stream of each random role: stream id base + role.
 _ROLE_BEARING = 0
 _ROLE_BOB = 1
 _ROLE_EVE = 2
-STREAMS_PER_TRIAL = 4
 
 # Steering angles live in the open interval (-pi/2, pi/2); bearing-error
 # draws are clamped just inside it.
@@ -106,8 +107,11 @@ class LobResult:
     summary: LobSummary
 
 
-def lob_beamformer(theta_hat: float, n_antennas: int) -> np.ndarray:
-    """Unit-norm beam along the steering vector of the estimated bearing."""
+def lob_beamformer(theta_hat, n_antennas: int) -> np.ndarray:
+    """Unit-norm beam along the steering vector of the estimated bearing.
+
+    An array of bearings gives one beam per bearing along a new last axis.
+    """
     a = steering_vector(theta_hat, n_antennas)
     return a / math.sqrt(n_antennas)
 
@@ -122,23 +126,25 @@ def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
     if _as_count(n_antennas, "n_antennas") < 2:
         raise ValueError("a 1-antenna array has no null space to hide noise in")
     a = steering_vector(theta_hat, n_antennas)
-    basis = null_space(a.conj()[np.newaxis, :])
-    return basis
+    # The trailing right-singular vectors of the 1 x N matrix a^H span its null space.
+    return np.linalg.svd(a.conj()[np.newaxis, :])[2][1:].conj().T
 
 
-def _an_leakage(h: np.ndarray, w: np.ndarray) -> float:
+def _an_leakage(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """||h^H V||^2 for an orthonormal basis V of the null space of the unit beam w.
 
     V V^H = I - w w^H, so this is ||h||^2 - |w^H h|^2 and no basis is
     built; rounding can push the difference just below zero, hence the clamp.
+    Works along the last axis.
     """
-    return max(0.0, float(np.vdot(h, h).real) - abs(np.vdot(w, h)) ** 2)
+    return np.maximum(0.0, np.vecdot(h, h).real - np.abs(np.vecdot(w, h)) ** 2)
 
 
-def _sinr(h: np.ndarray, w: np.ndarray, cfg: LobConfig, noise_power: float) -> float:
+def _sinr(h: np.ndarray, w: np.ndarray, cfg: LobConfig, noise_power: float) -> np.ndarray:
+    """SINR of a receiver with channel h under beam w, along the last axis."""
     info_power = (1.0 - cfg.an_fraction) * cfg.total_power
     an_power = cfg.an_fraction * cfg.total_power
-    signal = info_power * abs(np.vdot(h, w)) ** 2
+    signal = info_power * np.abs(np.vecdot(h, w)) ** 2
     an = an_power / (cfg.n_antennas - 1) * _an_leakage(h, w)
     return signal / (an + noise_power)
 
@@ -158,8 +164,8 @@ def sinr_pair(
     theta = cfg.theta_bob if theta_hat is None else float(theta_hat)
     w = lob_beamformer(theta, cfg.n_antennas)
     return SinrPair(
-        _sinr(np.asarray(h_bob), w, cfg, cfg.noise_power_bob),
-        _sinr(np.asarray(h_eve), w, cfg, cfg.noise_power_eve),
+        float(_sinr(np.asarray(h_bob), w, cfg, cfg.noise_power_bob)),
+        float(_sinr(np.asarray(h_eve), w, cfg, cfg.noise_power_eve)),
     )
 
 
@@ -195,48 +201,35 @@ def run_lob(cfg: LobConfig) -> LobResult:
 
     Per trial: perturb Bob's bearing by a Gaussian error, steer the beam
     and null space there, draw both Rician channels at their true angles,
-    and assess the realized SINR pair. Deterministic under cfg.seed with
-    one keyed substream per trial.
+    and assess the realized SINR pair. Deterministic under cfg.seed; the
+    bearing error is drawn only when location_error_std > 0.
     """
-    source = SubstreamSource(cfg.seed.master_seed)
     base = cfg.seed.stream_id
+    theta_hat = np.full(cfg.trials, cfg.theta_bob, dtype=float)
+    if cfg.location_error_std > 0.0:
+        err = sample_standard_normal(cfg.seed.stream(base + _ROLE_BEARING), cfg.trials)
+        theta_hat = np.clip(
+            theta_hat + cfg.location_error_std * err, -_ANGLE_LIMIT, _ANGLE_LIMIT
+        )
+    w = lob_beamformer(theta_hat, cfg.n_antennas)
     spec_bob = RicianSpec(cfg.k_factor_bob, cfg.theta_bob, cfg.n_antennas)
     spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
+    h_bob = sample_rician(spec_bob, cfg.seed.stream(base + _ROLE_BOB), size=cfg.trials)
+    h_eve = sample_rician(spec_eve, cfg.seed.stream(base + _ROLE_EVE), size=cfg.trials)
+    sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob).tolist()
+    sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve).tolist()
 
-    records: list[LobRecord] = []
-    feasible = 0
-    sum_sinr_bob = 0.0
-    sum_sinr_eve = 0.0
-    sum_delta_r = 0.0
-
-    for t in range(cfg.trials):
-        stream = base + STREAMS_PER_TRIAL * t
-        theta_hat = cfg.theta_bob
-        if cfg.location_error_std > 0.0:
-            err = source.stream(stream + _ROLE_BEARING).standard_normal()
-            theta_hat += cfg.location_error_std * float(err)
-            theta_hat = min(max(theta_hat, -_ANGLE_LIMIT), _ANGLE_LIMIT)
-        w = lob_beamformer(theta_hat, cfg.n_antennas)
-        h_bob = sample_rician(spec_bob, source.stream(stream + _ROLE_BOB))
-        h_eve = sample_rician(spec_eve, source.stream(stream + _ROLE_EVE))
-        sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob)
-        sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve)
-        assessment = _assess(
-            cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx
-        )
-        records.append(LobRecord(t, theta_hat, sinr_bob, sinr_eve, assessment))
-        feasible += assessment.feasible
-        sum_sinr_bob += sinr_bob
-        sum_sinr_eve += sinr_eve
-        sum_delta_r += assessment.delta_r
-
+    records = [
+        LobRecord(t, theta, b, e, _assess(cfg.blocklength, b, e, cfg.constraints, cfg.approx))
+        for t, (theta, b, e) in enumerate(zip(theta_hat.tolist(), sinr_bob, sinr_eve))
+    ]
     n = cfg.trials
     summary = LobSummary(
         trials=n,
-        mean_sinr_bob=sum_sinr_bob / n,
-        mean_sinr_eve=sum_sinr_eve / n,
-        feasibility_prob=feasible / n,
-        mean_delta_r=sum_delta_r / n,
+        mean_sinr_bob=sum(sinr_bob) / n,
+        mean_sinr_eve=sum(sinr_eve) / n,
+        feasibility_prob=sum(r.assessment.feasible for r in records) / n,
+        mean_delta_r=sum(r.assessment.delta_r for r in records) / n,
     )
     return LobResult(records=records, summary=summary)
 

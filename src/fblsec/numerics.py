@@ -123,8 +123,8 @@ class RngSeed:
 
     The same (master_seed, stream_id) pair always reproduces the same
     sample sequence; distinct stream_ids give independent streams of the
-    same master seed, so trials keyed per stream are reproducible
-    regardless of execution order.
+    same master seed, so each role of a simulation draws from its own
+    stream and no role's draws depend on another's.
     """
 
     master_seed: int
@@ -144,33 +144,6 @@ class RngSeed:
         """Fresh counter-based generator keyed by (master_seed, stream_id)."""
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-class SubstreamSource:
-    """Fast factory for the keyed substreams of one master seed.
-
-    Re-keying a single counter-based bit generator produces output
-    bit-identical to ``RngSeed(master, stream).generator()`` at roughly a
-    third of the construction cost, which matters in per-trial Monte Carlo
-    loops. The returned generator is reused: it is only valid until the
-    next ``stream()`` call.
-    """
-
-    def __init__(self, master_seed: int):
-        seed = RngSeed(master_seed)  # validates the range
-        self._bitgen = np.random.Philox(
-            key=np.array([seed.master_seed, 0], dtype=np.uint64)
-        )
-        self._gen = np.random.Generator(self._bitgen)
-
-    def stream(self, stream_id: int) -> np.random.Generator:
-        state = self._bitgen.state
-        state["state"]["key"][1] = stream_id % _U64
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        self._bitgen.state = state
-        return self._gen
 
 
 def _as_rng(seed: "RngSeed | np.random.Generator") -> np.random.Generator:

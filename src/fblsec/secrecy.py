@@ -18,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import fb_coding
 from .fb_coding import (
     ApproximationConfig,
@@ -188,6 +186,10 @@ def _solve_snr_for_error_prob(
         return db_to_linear(lo_db)
     if res_hi == 0.0:
         return db_to_linear(hi_db)
+    # Imported on first use: scipy.optimize pulls in scipy.linalg, sparse and
+    # more, which the simulators and the rate metrics never need.
+    from scipy.optimize import brentq
+
     root_db = brentq(residual, lo_db, hi_db, xtol=1e-12)
     return db_to_linear(root_db)
 

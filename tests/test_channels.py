@@ -45,6 +45,37 @@ class TestRayleigh:
             sample_rayleigh(0, SEED)
 
 
+class TestPrefixStableBatches:
+    """A batch of k rows is the first k rows of any larger batch."""
+
+    K = 7
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed, size: sample_rayleigh(3, seed, size=size),
+            lambda seed, size: sample_rician(RicianSpec(2.0, 0.3, 3), seed, size=size),
+            lambda seed, size: apply_reciprocity_error(
+                np.ones((size, 3), dtype=complex), ReciprocityError(0.2), seed
+            ),
+        ],
+        ids=["rayleigh", "rician", "reciprocity"],
+    )
+    def test_prefix(self, draw):
+        short, long = draw(SEED, self.K), draw(SEED, 3 * self.K)
+        assert np.array_equal(short, long[: self.K])
+
+    def test_single_vector_is_row_zero(self):
+        spec = RicianSpec(2.0, 0.3, 3)
+        assert np.array_equal(sample_rayleigh(3, SEED), sample_rayleigh(3, SEED, size=4)[0])
+        assert np.array_equal(sample_rician(spec, SEED), sample_rician(spec, SEED, size=4)[0])
+        h = sample_rayleigh(3, SEED.stream(5))
+        err = ReciprocityError(0.2)
+        assert np.array_equal(
+            apply_reciprocity_error(h, err, SEED), apply_reciprocity_error(h[None], err, SEED)[0]
+        )
+
+
 class TestSteeringVector:
     def test_boresight_is_ones(self):
         assert np.array_equal(steering_vector(0.0, 5), np.ones(5, dtype=complex))
@@ -60,6 +91,15 @@ class TestSteeringVector:
     def test_quarter_turn_entry(self):
         a = steering_vector(math.pi / 6, 2)
         assert a[1] == pytest.approx(1j, abs=1e-15)
+
+    def test_array_of_angles_gives_one_row_each(self):
+        angles = np.linspace(-1.5, 1.5, 41)
+        batch = steering_vector(angles, 5)
+        assert batch.shape == (41, 5)
+        for theta, row in zip(angles, batch):
+            assert np.array_equal(steering_vector(float(theta), 5), row)
+        with pytest.raises(ValueError):
+            steering_vector(np.array([0.1, math.pi / 2]), 4)
 
     def test_rejects_endfire(self):
         with pytest.raises(ValueError):

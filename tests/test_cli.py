@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fblsec
 from fblsec import __version__
 from fblsec.cli import _COMMANDS, main
 from fblsec.fb_coding import capacity, db_to_linear
@@ -275,3 +281,19 @@ class TestEveryCommand:
         out = tmp_path / "c.csv"
         assert main(["cipc", "--trials", "1", "--out", str(out)]) == 0
         assert capsys.readouterr().out.endswith(f"wrote 1 row to {out}\n")
+
+    @pytest.mark.parametrize("command", list(SMALL_ARGV))
+    def test_empty_out_path_is_an_io_error(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *SMALL_ARGV[command], "--out", ""]) == 4
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
+    code = "import sys, fblsec.cli; print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
+    src = str(Path(fblsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -215,6 +215,23 @@ class TestRunLob:
             an = cfg.an_fraction * cfg.total_power
             assert info + an == cfg.total_power
 
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_single_trial_reproducible_from_raw_streams(self, t):
+        # Rebuild trial t by hand from row t of each role's keyed stream.
+        cfg = make_config(trials=5, location_error_std=math.radians(4.0), seed=RngSeed(77, 9))
+        rec = run_lob(cfg).records[t]
+        master, base = cfg.seed.master_seed, cfg.seed.stream_id
+        err = RngSeed(master, base).generator().standard_normal(t + 1)[t]
+        theta_hat = cfg.theta_bob + cfg.location_error_std * err
+        spec_bob = RicianSpec(cfg.k_factor_bob, cfg.theta_bob, cfg.n_antennas)
+        spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
+        h_bob = sample_rician(spec_bob, RngSeed(master, base + 1), size=t + 1)[t]
+        h_eve = sample_rician(spec_eve, RngSeed(master, base + 2), size=t + 1)[t]
+        assert rec.theta_hat == theta_hat
+        sinr_bob, sinr_eve = sinr_pair(h_bob, h_eve, cfg, theta_hat)
+        np.testing.assert_array_max_ulp(rec.sinr_bob, sinr_bob, 4)
+        np.testing.assert_array_max_ulp(rec.sinr_eve, sinr_eve, 4)
+
     def test_bearing_clamped_inside_steering_domain(self):
         cfg = make_config(
             theta_bob=1.4, location_error_std=5.0, trials=200, an_fraction=0.2
