@@ -54,8 +54,8 @@ class CipcConfig:
     def __post_init__(self):
         for name in ("q_target", "noise_power_bob", "noise_power_eve"):
             v = float(getattr(self, name))
-            if math.isnan(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if math.isnan(self.p_max) or self.p_max <= 0.0:
             raise ValueError(f"p_max must be positive, got {self.p_max!r}")
         _check_antennas(self.n_antennas_tx)

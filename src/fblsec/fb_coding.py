@@ -97,6 +97,11 @@ def _log_term(n: int, cfg: ApproximationConfig) -> float:
     return math.log2(n) / (2.0 * n) if cfg.include_log_term else 0.0
 
 
+def _rate_bound(n: int, eps: float, gamma: float, cfg: ApproximationConfig) -> float:
+    """Unclamped rate bound C - sqrt(V/n) * Qinv(eps) + delta; callers validate."""
+    return capacity(gamma) - math.sqrt(dispersion(gamma) / n) * q_func_inv(eps) + _log_term(n, cfg)
+
+
 def capacity(gamma: float) -> float:
     """AWGN capacity log2(1 + gamma) in bits per channel use."""
     return math.log2(1.0 + _check_snr(gamma))
@@ -149,11 +154,7 @@ def max_rate(
             f"target error probability must lie in (0, 1), got {epsilon_target!r}"
         )
     gamma = _check_snr(gamma)
-    rate = (
-        capacity(gamma)
-        - math.sqrt(dispersion(gamma) / n) * q_func_inv(epsilon_target)
-        + _log_term(n, cfg)
-    )
+    rate = _rate_bound(n, epsilon_target, gamma, cfg)
     if rate < 0.0:
         return RateBound(0.0, True)
     return RateBound(rate, False)

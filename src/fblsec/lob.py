@@ -69,8 +69,8 @@ class LobConfig:
             raise ValueError("location_error_std must be >= 0")
         for name in ("total_power", "noise_power_bob", "noise_power_eve"):
             v = float(getattr(self, name))
-            if math.isnan(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            if not math.isfinite(v) or v <= 0.0:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if not 0.0 <= self.an_fraction <= 1.0:
             raise ValueError(f"an_fraction must lie in [0, 1], got {self.an_fraction!r}")
         _check_blocklength(self.blocklength)
@@ -114,20 +114,6 @@ def lob_beamformer(theta_hat, n_antennas: int) -> np.ndarray:
     """
     a = steering_vector(theta_hat, n_antennas)
     return a / math.sqrt(n_antennas)
-
-
-def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
-    """Orthonormal N x (N-1) basis of the steered beam's null space.
-
-    Columns satisfy a(theta_hat)^H V = 0 and V^H V = I, so artificial
-    noise injected through V never reaches a pure-LOS receiver at exactly
-    theta_hat.
-    """
-    if _as_count(n_antennas, "n_antennas") < 2:
-        raise ValueError("a 1-antenna array has no null space to hide noise in")
-    a = steering_vector(theta_hat, n_antennas)
-    # The trailing right-singular vectors of the 1 x N matrix a^H span its null space.
-    return np.linalg.svd(a.conj()[np.newaxis, :])[2][1:].conj().T
 
 
 def _an_leakage(h: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .fb_coding import (
     db_to_linear,
     linear_to_db,
 )
-from .numerics import UnsatisfiableError, q_func_inv
+from .numerics import UnsatisfiableError
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,11 +120,7 @@ def r_inf(
         )
     if beta_e == 1.0:
         return math.inf
-    return (
-        fb_coding.capacity(gamma_e)
-        - math.sqrt(fb_coding.dispersion(gamma_e) / n) * q_func_inv(beta_e)
-        + fb_coding._log_term(n, cfg)
-    )
+    return fb_coding._rate_bound(n, beta_e, gamma_e, cfg)
 
 
 def rate_interval(

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths used by the package: the Gaussian
 tail comes from adaptive quadrature of the density (not erfc), binomial
-quantities from exact rational enumeration (not lgamma), and small-block
-counts from walking every error pattern.
+quantities from exact rational enumeration (not lgamma), small-block
+counts from walking every error pattern, and the artificial-noise null
+space from an SVD (not the package's closed-form leakage).
 """
 
 import math
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+
+from fblsec.channels import steering_vector
 
 
 def q_oracle(x: float) -> float:
@@ -48,3 +51,15 @@ def post_decoding_ber_exact(n: int, t: int, p: Fraction) -> Fraction:
         pmf = math.comb(n, j) * p**j * (1 - p) ** (n - j)
         total += min(n, j + t) * pmf
     return total / n
+
+
+def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
+    """Orthonormal N x (N-1) basis of the steered beam's null space.
+
+    Columns satisfy a(theta_hat)^H V = 0 and V^H V = I, so artificial
+    noise injected through V never reaches a pure-LOS receiver at exactly
+    theta_hat.
+    """
+    a = steering_vector(theta_hat, n_antennas)
+    # The trailing right-singular vectors of the 1 x N matrix a^H span its null space.
+    return np.linalg.svd(a.conj()[np.newaxis, :])[2][1:].conj().T

@@ -19,7 +19,6 @@ from fblsec import (
     LobConfig,
     ReciprocityError,
     RngSeed,
-    an_basis,
     binomial_cdf,
     block_error_prob,
     capacity,
@@ -35,7 +34,7 @@ from fblsec import (
 from fblsec.channels import steering_vector
 from fblsec.cli import main
 
-from oracles import binomial_cdf_exact, q_oracle
+from oracles import an_basis, binomial_cdf_exact, q_oracle
 
 CP = ConstraintPair(beta_b=1e-6, beta_e=0.5)
 GB = db_to_linear(10.0)

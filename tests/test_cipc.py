@@ -189,6 +189,12 @@ class TestRunCipc:
         with pytest.raises(ValueError):
             make_config(trials=0)
 
+    @pytest.mark.parametrize("name", ["q_target", "noise_power_bob", "noise_power_eve"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_power_and_noise_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            make_config(**{name: value})
+
 
 class TestOptimizeQ:
     def test_single_point_grid(self):

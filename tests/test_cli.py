@@ -212,6 +212,21 @@ class TestErrorPaths:
     def test_invalid_flag_value(self):
         assert main(["fig2", "--out", "x.csv", "--steps", "ten"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["lob", "--trials", "3", "--power", "inf", "--an-fraction", "0"], "total_power"),
+            (["lob", "--trials", "3", "--noise-e", "inf"], "noise_power_eve"),
+            (["cipc", "--trials", "3", "--noise-b", "inf"], "noise_power_bob"),
+            (["cipc", "--trials", "3", "--q-target", "inf"], "q_target"),
+        ],
+    )
+    def test_non_finite_power_or_noise_rejected(self, argv, name, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be positive and finite" in captured.err
+        assert captured.out == ""
+
     def test_io_failure(self, tmp_path):
         missing_dir = tmp_path / "not" / "there" / "f.csv"
         assert main(["fig2", "--out", str(missing_dir)]) == 4

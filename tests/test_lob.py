@@ -8,7 +8,6 @@ from fblsec.channels import sample_rician, steering_vector, RicianSpec
 from fblsec.lob import (
     LobConfig,
     _an_leakage,
-    an_basis,
     lob_beamformer,
     optimize_an_fraction,
     run_lob,
@@ -16,6 +15,8 @@ from fblsec.lob import (
 )
 from fblsec.numerics import RngSeed
 from fblsec.secrecy import ConstraintPair
+
+from oracles import an_basis
 
 CP = ConstraintPair(1e-6, 0.5)
 
@@ -68,10 +69,6 @@ class TestAnBasis:
         assert np.linalg.norm(a.conj() @ basis) < 1e-10
         gram = basis.conj().T @ basis
         assert np.linalg.norm(gram - np.eye(n - 1)) < 1e-10
-
-    def test_single_antenna_rejected(self):
-        with pytest.raises(ValueError):
-            an_basis(0.0, 1)
 
 
 class TestAnLeakage:
@@ -248,6 +245,14 @@ class TestRunLob:
             make_config(theta_bob=math.pi)
         with pytest.raises(ValueError):
             make_config(total_power=0.0)
+
+    @pytest.mark.parametrize("name", ["total_power", "noise_power_bob", "noise_power_eve"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_power_and_noise_must_be_positive_and_finite(self, name, value):
+        # An infinite total power made the AN power 0 * inf = nan and every
+        # SINR nan, which _assess scored as zero SINR.
+        with pytest.raises(ValueError, match=name):
+            make_config(**{name: value})
 
 
 class TestOptimizeAnFraction:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -68,14 +69,27 @@ class TestQFuncInv:
     def test_center(self):
         assert q_func_inv(0.5) == 0.0
 
+    def test_center_is_positive_zero(self):
+        assert math.copysign(1.0, q_func_inv(0.5)) == 1.0
+
     def test_tail_anchor(self):
         # Frozen from a bisection against the integration oracle.
         assert q_func_inv(1e-6) == pytest.approx(4.7534243088228989, abs=1e-3)
         assert q_func_inv(1e-6) == pytest.approx(4.7534243088228989, rel=1e-12)
 
-    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.2, 0.37])
+    # 1 - p is exact for the powers of two, so the far tails are checked too.
+    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.2, 0.37, 2.0**-20, 2.0**-30, 2.0**-40])
     def test_antisymmetry(self, p):
         assert q_func_inv(p) == pytest.approx(-q_func_inv(1.0 - p), rel=1e-12)
+
+    def test_matches_stdlib_normal_quantile(self):
+        # statistics.NormalDist.inv_cdf is Wichura's AS 241, independent of scipy.
+        # Each grid point p is checked at its complement 1 - p too.
+        inv_cdf = NormalDist().inv_cdf
+        for p in np.logspace(-300.0, math.log10(0.5), 1200).tolist() + [0.5]:
+            for x in (p, 1.0 - p):
+                if x < 1.0:
+                    assert q_func_inv(x) == pytest.approx(-inv_cdf(x), rel=1e-13, abs=0.0)
 
     @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
     @settings(max_examples=200)

@@ -106,6 +106,8 @@ CASES = [
     _one("fig3", "--out", "f.csv", "--n-min", "20", "--n-max", "10"),
     _one("cipc", "--trials", "0"),
     _one("lob", "--antennas", "1"),
+    _one("lob", "--power", "inf", "--an-fraction", "0"),
+    _one("cipc", "--noise-b", "inf"),
     # config files and manifest replay
     [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
      ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
