@@ -55,8 +55,9 @@ class ReciprocityError:
     sigma_delta: float = 0.0
 
     def __post_init__(self):
-        if math.isnan(self.sigma_delta) or self.sigma_delta < 0.0:
-            raise ValueError(f"sigma_delta must be >= 0, got {self.sigma_delta!r}")
+        v = float(self.sigma_delta)
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"sigma_delta must be finite and >= 0, got {v!r}")
 
 
 def _check_antennas(n) -> int:

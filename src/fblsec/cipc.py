@@ -27,7 +27,7 @@ import numpy as np
 from .channels import ReciprocityError, _check_antennas, apply_reciprocity_error, sample_rayleigh
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count
-from .secrecy import ConstraintPair, SecrecyAssessment, rate_interval
+from .secrecy import ConstraintPair, RateIntervals, SecrecyAssessment, rate_interval_batch
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_CHANNEL = 0
@@ -92,10 +92,35 @@ class CipcSummary:
     mean_gamma_e: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CipcResult:
-    records: list[SimRecord]
+    """Per-trial columns of a run: the sent mask covers every trial, the
+    other columns only the transmitted ones, in trial order."""
+
+    sent: np.ndarray
+    p_t: np.ndarray
+    rx_power_bob: np.ndarray
+    gamma_b: np.ndarray
+    gamma_e: np.ndarray
+    assessment: RateIntervals
     summary: CipcSummary
+
+    @property
+    def records(self) -> list[SimRecord]:
+        """One SimRecord per trial, built from the columns on each access."""
+        transmitted = map(
+            SimRecord,
+            np.flatnonzero(self.sent).tolist(),
+            self.p_t.tolist(),
+            self.rx_power_bob.tolist(),
+            self.gamma_b.tolist(),
+            self.gamma_e.tolist(),
+            self.assessment.assessments(),
+        )
+        return [
+            next(transmitted) if s else SimRecord(t, None, None, None, None, None)
+            for t, s in enumerate(self.sent.tolist())
+        ]
 
 
 def cipc_beamformer(h_d: np.ndarray) -> np.ndarray:
@@ -128,12 +153,8 @@ def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> float | np.ndarray | Non
     return None if math.isnan(p_t) else float(p_t)
 
 
-def _mean(values: list) -> float:
-    return sum(values) / len(values) if values else math.nan
-
-
 def run_cipc(cfg: CipcConfig) -> CipcResult:
-    """Monte Carlo over fading: returns per-trial records plus a summary.
+    """Monte Carlo over fading: returns per-trial columns plus a summary.
 
     Per trial: draw the downlink channel h_d (Rayleigh) and invert power
     on it; a transmitted trial then perturbs h_d into the true uplink h_u
@@ -155,28 +176,24 @@ def run_cipc(cfg: CipcConfig) -> CipcResult:
     )
     g = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_EVE), size=len(p_t))
     rx_bob = p_t * np.abs(np.vecdot(h_u.conj(), w)) ** 2  # |h_u^T w|^2
-    gamma_b = (rx_bob / cfg.noise_power_bob).tolist()
-    gamma_e = (p_t * np.abs(np.vecdot(g, w)) ** 2 / cfg.noise_power_eve).tolist()
-    assessments = [
-        rate_interval(cfg.blocklength, b, e, cfg.constraints, cfg.approx)
-        for b, e in zip(gamma_b, gamma_e)
-    ]
+    gamma_b = rx_bob / cfg.noise_power_bob
+    gamma_e = p_t * np.abs(np.vecdot(g, w)) ** 2 / cfg.noise_power_eve
+    a = rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
 
-    # Transmitted records, in trial order, fill the slots of unsuspended trials.
-    ids = np.flatnonzero(sent).tolist()
-    transmitted = map(SimRecord, ids, p_t.tolist(), rx_bob.tolist(), gamma_b, gamma_e, assessments)
-    records = [
-        next(transmitted) if s else SimRecord(t, None, None, None, None, None)
-        for t, s in enumerate(sent.tolist())
-    ]
+    # Means over transmitted trials, summed left to right as Python floats.
+    sent_count = len(p_t)
+    feasibility, mean_delta_r, mean_gamma_e = (
+        sum(column.tolist()) / sent_count if sent_count else math.nan
+        for column in (a.feasible, a.delta_r, gamma_e)
+    )
     summary = CipcSummary(
         trials=cfg.trials,
-        suspension_prob=(cfg.trials - len(assessments)) / cfg.trials,
-        feasibility_prob=_mean([a.feasible for a in assessments]),
-        mean_delta_r=_mean([a.delta_r for a in assessments]),
-        mean_gamma_e=_mean(gamma_e),
+        suspension_prob=(cfg.trials - sent_count) / cfg.trials,
+        feasibility_prob=feasibility,
+        mean_delta_r=mean_delta_r,
+        mean_gamma_e=mean_gamma_e,
     )
-    return CipcResult(records=records, summary=summary)
+    return CipcResult(sent, p_t, rx_bob, gamma_b, gamma_e, a, summary)
 
 
 def default_q_objective(summary: CipcSummary) -> float:

@@ -17,10 +17,12 @@ Exit codes: 0 success, 2 invalid arguments or config parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,10 +127,6 @@ def _sci(x: float) -> str:
     return f"{float(x):.12e}"
 
 
-def _db_or_neg_inf(linear: float) -> str:
-    return _sci(linear_to_db(linear)) if linear > 0.0 else "-inf"
-
-
 def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -173,14 +171,48 @@ def _write_manifest(out_path: str, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> int:
+def _write_csv(path: str, header: Sequence[str], blocks: Iterable[str]) -> int:
     count = 0
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
-            count += 1
+        for block in blocks:
+            f.write(block)
+            count += block.count("\n")
     return count
+
+
+def _lines(rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """CSV text of rows of formatted cells, one line per row."""
+    return (",".join(row) + "\n" for row in rows)
+
+
+#: Rows per % format call when simulator columns become CSV text.
+_BLOCK_ROWS = 1000
+
+
+def _csv_blocks(row_formats: np.ndarray, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """CSV text of equal-length columns, one % format call per block of rows.
+
+    row_formats is an object array of each row's format; every row format
+    takes one cell of each column.
+    """
+    for lo in range(0, len(row_formats), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        cells = chain.from_iterable(zip(*(column[block].tolist() for column in columns)))
+        yield "".join(row_formats[block].tolist()) % tuple(cells)
+
+
+def _db_cells(linear: np.ndarray) -> np.ndarray:
+    """linear_to_db of each value, -inf for zero.
+
+    Per value, because numpy's log10 differs from math.log10 in the last
+    bit on some values.
+    """
+    return np.fromiter(
+        (linear_to_db(x) if x > 0.0 else -math.inf for x in linear.tolist()),
+        float,
+        len(linear),
+    )
 
 
 def _maybe_svg(path: str | None, draw) -> None:
@@ -208,8 +240,9 @@ class _Report(NamedTuple):
     #: stdout lines, printed after the manifest echo
     summary: Sequence[str] = ()
     header: Sequence[str] = ()
-    #: formatted CSV rows; a generator, so no second copy of the results is held
-    rows: Iterable[tuple[str, ...]] = ()
+    #: CSV text after the header, whole lines per item; a generator, so no
+    #: second copy of the results is held
+    rows: Iterable[str] = ()
     #: resolved parameters the manifest records in place of the flag values
     overrides: dict | None = None
     #: draws the optional SVG plot onto a matplotlib axes
@@ -400,7 +433,7 @@ def _fig2(args) -> _Report:
 
     return _Report(
         header=["n", "rate", "epsilon"],
-        rows=((str(p.n), _sci(p.rate), _sci(p.epsilon)) for p in points),
+        rows=_lines((str(p.n), _sci(p.rate), _sci(p.epsilon)) for p in points),
         overrides={"rate_min": rate_min, "rate_max": rate_max},
         draw=draw,
     )
@@ -446,7 +479,7 @@ def _fig3(args) -> _Report:
 
     return _Report(
         header=["n", "r_b_eps", "r_e_eps", "delta_r", "feasible"],
-        rows=((str(n), *_assessment_cells(a)) for n, a in zip(n_grid, assessments)),
+        rows=_lines((str(n), *_assessment_cells(a)) for n, a in zip(n_grid, assessments)),
         draw=draw,
     )
 
@@ -470,12 +503,12 @@ def _gap(args) -> _Report:
             f"gap_linear = {result.gap_linear:.9g}",
         ],
         header=["snr_b_min_db", "snr_e_max_db", "gap_db", "gap_linear"],
-        rows=((
+        rows=_lines(((
             _sci(snr_b_min_db),
             _sci(snr_e_max_db),
             _sci(result.gap_db),
             _sci(result.gap_linear),
-        ),),
+        ),)),
     )
 
 
@@ -496,7 +529,7 @@ def _interval(args) -> _Report:
             f"feasible = {_bool_str(a.feasible)}",
         ],
         header=["n", *_ASSESSMENT_COLUMNS],
-        rows=((str(args.n), *_assessment_cells(a)),),
+        rows=_lines(((str(args.n), *_assessment_cells(a)),)),
     )
 
 
@@ -521,7 +554,7 @@ def _minblock(args) -> _Report:
             summary=["n_star = infeasible"],
             error=f"no blocklength up to {args.n_max} satisfies both constraints",
         )
-    return _Report(summary=[f"n_star = {n_star}"], header=["n_star"], rows=((str(n_star),),))
+    return _Report(summary=[f"n_star = {n_star}"], header=["n_star"], rows=_lines(((str(n_star),),)))
 
 
 def _cipc_config(args, q_target: float) -> CipcConfig:
@@ -540,16 +573,37 @@ def _cipc_config(args, q_target: float) -> CipcConfig:
     )
 
 
-def _cipc_row(rec) -> tuple[str, ...]:
-    if rec.suspended:
-        return (str(rec.trial_id), "suspended", "", "", "", "", "", "false")
-    return (
-        str(rec.trial_id),
-        _sci(rec.p_t),
-        _sci(linear_to_db(rec.gamma_b)),
-        _sci(linear_to_db(rec.gamma_e)),
-        *_assessment_cells(rec.assessment),
-    )
+# A simulator row: trial id, three numbers, then the assessment columns.
+_SIM_ROW = "%d,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e,%s\n"
+# A suspended CIPC row takes the same eight cells, and "%.0s" prints none
+# of the seven it leaves blank.
+_SUSPENDED_ROW = "%d,suspended,,,,,,false" + "%.0s" * 7 + "\n"
+
+
+def _feasible_cells(feasible: np.ndarray) -> np.ndarray:
+    return np.where(feasible, "true", "false")
+
+
+def _cipc_rows(result) -> Iterator[str]:
+    sent, a = result.sent, result.assessment
+
+    def spread(column: np.ndarray, blank=math.nan) -> np.ndarray:
+        # Transmitted values in their trial slots; suspended slots are not printed.
+        out = np.full(len(sent), blank, dtype=column.dtype)
+        out[sent] = column
+        return out
+
+    row_formats = np.array([_SUSPENDED_ROW, _SIM_ROW], dtype=object)[sent.astype(np.intp)]
+    return _csv_blocks(row_formats, [
+        np.arange(len(sent)),
+        spread(result.p_t),
+        spread(_db_cells(result.gamma_b)),
+        spread(_db_cells(result.gamma_e)),
+        spread(a.r_sup),
+        spread(a.r_inf),
+        spread(a.delta_r),
+        spread(_feasible_cells(a.feasible), blank=""),
+    ])
 
 
 @_command(
@@ -570,7 +624,7 @@ def _cipc(args) -> _Report:
             f"mean_gamma_e = {s.mean_gamma_e:.9g}",
         ],
         header=["trial_id", "p_t", "gamma_b_db", "gamma_e_db", *_ASSESSMENT_COLUMNS],
-        rows=(_cipc_row(rec) for rec in result.records),
+        rows=_cipc_rows(result),
     )
 
 
@@ -594,6 +648,20 @@ def _lob_config(args, an_fraction: float) -> LobConfig:
     )
 
 
+def _lob_rows(result) -> Iterator[str]:
+    a = result.assessment
+    return _csv_blocks(np.full(len(a.r_sup), _SIM_ROW, dtype=object), [
+        np.arange(len(a.r_sup)),
+        result.theta_hat,
+        _db_cells(result.sinr_bob),
+        _db_cells(result.sinr_eve),
+        a.r_sup,
+        a.r_inf,
+        a.delta_r,
+        _feasible_cells(a.feasible),
+    ])
+
+
 @_command("lob", "location-based beamforming Monte Carlo", *_LOB_FLAGS)
 def _lob(args) -> _Report:
     result = run_lob(_lob_config(args, args.an_fraction))
@@ -607,16 +675,7 @@ def _lob(args) -> _Report:
             f"mean_delta_r = {s.mean_delta_r:.9g}",
         ],
         header=["trial_id", "theta_hat", "sinr_bob_db", "sinr_eve_db", *_ASSESSMENT_COLUMNS],
-        rows=(
-            (
-                str(rec.trial_id),
-                _sci(rec.theta_hat),
-                _db_or_neg_inf(rec.sinr_bob),
-                _db_or_neg_inf(rec.sinr_eve),
-                *_assessment_cells(rec.assessment),
-            )
-            for rec in result.records
-        ),
+        rows=_lob_rows(result),
     )
 
 
@@ -625,7 +684,7 @@ def _grid_report(name: str, best: float, curve: list[tuple[float, float]]) -> _R
         summary=[f"{name}_star = {best:.9g}"]
         + [f"objective[{name}={x:.9g}] = {objective:.6f}" for x, objective in curve],
         header=[name, "objective"],
-        rows=((_sci(x), _sci(objective)) for x, objective in curve),
+        rows=_lines((_sci(x), _sci(objective)) for x, objective in curve),
     )
 
 
@@ -652,7 +711,9 @@ def _optimize_an(args) -> _Report:
     return _grid_report("phi", result.phi_star, result.objective_curve)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and never changed."""
     parser = argparse.ArgumentParser(
         prog="fblsec",
         description="Finite-blocklength physical-layer security toolkit",

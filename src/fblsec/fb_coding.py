@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .numerics import _as_count, q_func, q_func_inv
 
@@ -79,6 +82,15 @@ def _check_snr(gamma: float) -> float:
     return gamma
 
 
+def _check_snrs(gamma) -> np.ndarray:
+    """_check_snr over an array: the first bad value raises the scalar message."""
+    gamma = np.asarray(gamma, dtype=float)
+    bad = ~(np.isfinite(gamma) & (gamma > 0.0))
+    if bad.any():
+        _check_snr(gamma[bad][0])
+    return gamma
+
+
 def _check_blocklength(n) -> int:
     n = _as_count(n, "blocklength")
     if n < 1:
@@ -100,6 +112,20 @@ def _log_term(n: int, cfg: ApproximationConfig) -> float:
 def _rate_bound(n: int, eps: float, gamma: float, cfg: ApproximationConfig) -> float:
     """Unclamped rate bound C - sqrt(V/n) * Qinv(eps) + delta; callers validate."""
     return capacity(gamma) - math.sqrt(dispersion(gamma) / n) * q_func_inv(eps) + _log_term(n, cfg)
+
+
+def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, cfg: ApproximationConfig) -> np.ndarray:
+    """_rate_bound over an SNR array, bit-identical to it value by value.
+
+    C and V take the scalar functions' libm calls one value at a time
+    (numpy's vectorized log2 and pow round differently in the last bit);
+    the rest is the same correctly rounded arithmetic in the same order.
+    """
+    one_plus = (1.0 + gamma).ravel().tolist()
+    cap = np.fromiter(map(math.log2, one_plus), float, len(one_plus)).reshape(gamma.shape)
+    inv_sq = np.fromiter(map(pow, one_plus, repeat(-2.0)), float, len(one_plus))
+    disp = (1.0 - inv_sq.reshape(gamma.shape)) * DISPERSION_LIMIT
+    return cap - np.sqrt(disp / n) * q_func_inv(eps) + _log_term(n, cfg)
 
 
 def capacity(gamma: float) -> float:

@@ -19,11 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fb_coding
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count, sample_standard_normal
-from .secrecy import ConstraintPair, SecrecyAssessment, r_inf, rate_interval
+from .secrecy import ConstraintPair, RateIntervals, SecrecyAssessment, _ceilings, _floors
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_BEARING = 0
@@ -65,8 +64,9 @@ class LobConfig:
         for name in ("theta_bob", "theta_eve"):
             if not abs(float(getattr(self, name))) < math.pi / 2:
                 raise ValueError(f"{name} must lie in (-pi/2, pi/2)")
-        if math.isnan(self.location_error_std) or self.location_error_std < 0.0:
-            raise ValueError("location_error_std must be >= 0")
+        v = float(self.location_error_std)
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"location_error_std must be finite and >= 0, got {v!r}")
         for name in ("total_power", "noise_power_bob", "noise_power_eve"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v <= 0.0:
@@ -101,10 +101,29 @@ class LobSummary:
     mean_delta_r: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class LobResult:
-    records: list[LobRecord]
+    """Per-trial columns of a run, in trial order."""
+
+    theta_hat: np.ndarray
+    sinr_bob: np.ndarray
+    sinr_eve: np.ndarray
+    assessment: RateIntervals
     summary: LobSummary
+
+    @property
+    def records(self) -> list[LobRecord]:
+        """One LobRecord per trial, built from the columns on each access."""
+        return list(
+            map(
+                LobRecord,
+                range(len(self.theta_hat)),
+                self.theta_hat.tolist(),
+                self.sinr_bob.tolist(),
+                self.sinr_eve.tolist(),
+                self.assessment.assessments(),
+            )
+        )
 
 
 def lob_beamformer(theta_hat, n_antennas: int) -> np.ndarray:
@@ -155,35 +174,34 @@ def sinr_pair(
     )
 
 
-def _assess(n: int, sinr_bob: float, sinr_eve: float, constraints, approx) -> SecrecyAssessment:
-    # Zero SINR falls outside the positive-SNR domain of the rate formulas
-    # and is handled as the physical limit: a receiver with no signal power
-    # decodes nothing. At Eve that makes every rate secure (floor zero); at
-    # Bob it makes the reliability target unreachable, reported as an
-    # infeasible trial with a zero, clamped rate ceiling.
-    if sinr_bob > 0.0 and sinr_eve > 0.0:
-        return rate_interval(n, sinr_bob, sinr_eve, constraints, approx)
-    if sinr_bob > 0.0:
-        ceiling = fb_coding.max_rate(n, constraints.beta_b, sinr_bob, approx)
-        return SecrecyAssessment(
-            r_sup=ceiling.rate,
-            r_inf=0.0,
-            delta_r=ceiling.rate,
-            feasible=True,
-            r_sup_clamped=ceiling.clamped,
-        )
-    floor = r_inf(n, constraints.beta_e, sinr_eve, approx) if sinr_eve > 0.0 else 0.0
-    return SecrecyAssessment(
-        r_sup=0.0,
-        r_inf=floor,
-        delta_r=-floor,
-        feasible=False,
-        r_sup_clamped=True,
-    )
+def _rate_intervals(
+    n: int,
+    sinr_bob: np.ndarray,
+    sinr_eve: np.ndarray,
+    constraints: ConstraintPair,
+    approx: ApproximationConfig,
+) -> RateIntervals:
+    """Rate intervals of SINR pairs, zero SINRs included.
+
+    Zero SINR falls outside the positive-SNR domain of the rate formulas
+    and is handled as the physical limit: a receiver with no signal power
+    decodes nothing. At Eve that makes every rate secure (floor zero); at
+    Bob it makes the reliability target unreachable, reported as an
+    infeasible trial with a zero, clamped rate ceiling. Ceilings and
+    floors are computed only where the SINR is positive, so a run in which
+    Eve never hears anything emits no beta_e warning.
+    """
+    bob_on, eve_on = sinr_bob > 0.0, sinr_eve > 0.0
+    r_sup, clamped = np.zeros(len(sinr_bob)), np.ones(len(sinr_bob), dtype=bool)
+    r_sup[bob_on], clamped[bob_on] = _ceilings(n, constraints.beta_b, sinr_bob[bob_on], approx)
+    r_inf = np.zeros(len(sinr_eve))
+    r_inf[eve_on] = _floors(n, constraints.beta_e, sinr_eve[eve_on], approx)
+    delta_r = np.where(bob_on, r_sup - r_inf, -r_inf)
+    return RateIntervals(r_sup, r_inf, delta_r, bob_on & (delta_r >= 0.0), clamped)
 
 
 def run_lob(cfg: LobConfig) -> LobResult:
-    """Monte Carlo over fading and bearing error; records plus a summary.
+    """Monte Carlo over fading and bearing error; per-trial columns plus a summary.
 
     Per trial: perturb Bob's bearing by a Gaussian error, steer the beam
     and null space there, draw both Rician channels at their true angles,
@@ -202,22 +220,23 @@ def run_lob(cfg: LobConfig) -> LobResult:
     spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
     h_bob = sample_rician(spec_bob, cfg.seed.stream(base + _ROLE_BOB), size=cfg.trials)
     h_eve = sample_rician(spec_eve, cfg.seed.stream(base + _ROLE_EVE), size=cfg.trials)
-    sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob).tolist()
-    sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve).tolist()
+    sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob)
+    sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve)
+    a = _rate_intervals(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
 
-    records = [
-        LobRecord(t, theta, b, e, _assess(cfg.blocklength, b, e, cfg.constraints, cfg.approx))
-        for t, (theta, b, e) in enumerate(zip(theta_hat.tolist(), sinr_bob, sinr_eve))
-    ]
+    # Means summed left to right as Python floats.
     n = cfg.trials
+    mean_sinr_bob, mean_sinr_eve, feasibility, mean_delta_r = (
+        sum(column.tolist()) / n for column in (sinr_bob, sinr_eve, a.feasible, a.delta_r)
+    )
     summary = LobSummary(
         trials=n,
-        mean_sinr_bob=sum(sinr_bob) / n,
-        mean_sinr_eve=sum(sinr_eve) / n,
-        feasibility_prob=sum(r.assessment.feasible for r in records) / n,
-        mean_delta_r=sum(r.assessment.delta_r for r in records) / n,
+        mean_sinr_bob=mean_sinr_bob,
+        mean_sinr_eve=mean_sinr_eve,
+        feasibility_prob=feasibility,
+        mean_delta_r=mean_delta_r,
     )
-    return LobResult(records=records, summary=summary)
+    return LobResult(theta_hat, sinr_bob, sinr_eve, a, summary)
 
 
 @dataclass(frozen=True, slots=True)

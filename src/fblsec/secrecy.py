@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import fb_coding
 from .fb_coding import (
@@ -72,6 +75,20 @@ class SecrecyAssessment:
     r_sup_clamped: bool = False
 
 
+class RateIntervals(NamedTuple):
+    """SecrecyAssessment fields as columns, one entry per scenario."""
+
+    r_sup: np.ndarray
+    r_inf: np.ndarray
+    delta_r: np.ndarray
+    feasible: np.ndarray
+    r_sup_clamped: np.ndarray
+
+    def assessments(self) -> list[SecrecyAssessment]:
+        """One SecrecyAssessment per entry of 1-D columns, in order."""
+        return list(map(SecrecyAssessment, *(column.tolist() for column in self)))
+
+
 @dataclass(frozen=True, slots=True)
 class SecurityGap:
     """SNR thresholds at a fixed rate and their ratio (the security gap)."""
@@ -110,17 +127,21 @@ def r_inf(
     if not 0.0 < beta_e <= 1.0:
         raise ValueError(f"beta_e must lie in (0, 1], got {beta_e!r}")
     gamma_e = fb_coding._check_snr(gamma_e)
+    _warn_if_beyond_guessing(beta_e, stacklevel=3)
+    if beta_e == 1.0:
+        return math.inf
+    return fb_coding._rate_bound(n, beta_e, gamma_e, cfg)
+
+
+def _warn_if_beyond_guessing(beta_e: float, stacklevel: int) -> None:
     if beta_e > 0.5:
         warnings.warn(
             f"beta_e={beta_e} > 0.5 requires the eavesdropper to decode worse "
             "than a blind guess; the resulting rate floor exceeds the "
             "eavesdropper capacity",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    if beta_e == 1.0:
-        return math.inf
-    return fb_coding._rate_bound(n, beta_e, gamma_e, cfg)
 
 
 def rate_interval(
@@ -145,6 +166,54 @@ def rate_interval(
         feasible=delta >= 0.0,
         r_sup_clamped=ceiling.clamped,
     )
+
+
+def _ceilings(
+    n: int, beta_b: float, gamma_b, cfg: ApproximationConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """max_rate over an SNR array, as (rates, clamped); the caller checks n and beta_b."""
+    raw = fb_coding._rate_bound_batch(n, beta_b, fb_coding._check_snrs(gamma_b), cfg)
+    clamped = raw < 0.0
+    return np.where(clamped, 0.0, raw), clamped
+
+
+def _floors(n: int, beta_e: float, gamma_e, cfg: ApproximationConfig) -> np.ndarray:
+    """r_inf over an SNR array; the caller checks n and beta_e.
+
+    Warns once, as r_inf does per call, when beta_e > 0.5 and there is at
+    least one floor to compute.
+    """
+    gamma_e = fb_coding._check_snrs(gamma_e)
+    if gamma_e.size:
+        _warn_if_beyond_guessing(beta_e, stacklevel=4)
+    if beta_e == 1.0:
+        return np.full(gamma_e.shape, math.inf)
+    return fb_coding._rate_bound_batch(n, beta_e, gamma_e, cfg)
+
+
+def rate_interval_batch(
+    n: int,
+    gamma_b,
+    gamma_e,
+    constraints: ConstraintPair,
+    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
+) -> RateIntervals:
+    """rate_interval over equal-shape arrays of Bob and Eve SNRs, as arrays
+    of that shape (columns, for 1-D input).
+
+    Every entry is bit-identical to the scalar rate_interval of its SNR
+    pair: the same checks and messages, the same float operations in the
+    same order, Qinv evaluated once per constraint. The beta_e > 0.5
+    warning is emitted once per call, not once per scenario.
+    """
+    n = fb_coding._check_blocklength(n)
+    gamma_b, gamma_e = np.asarray(gamma_b, dtype=float), np.asarray(gamma_e, dtype=float)
+    if gamma_b.shape != gamma_e.shape:
+        raise ValueError(f"SNR arrays differ in shape: {gamma_b.shape} vs {gamma_e.shape}")
+    r_sup, clamped = _ceilings(n, constraints.beta_b, gamma_b, cfg)
+    floor = _floors(n, constraints.beta_e, gamma_e, cfg)
+    delta = r_sup - floor
+    return RateIntervals(r_sup, floor, delta, delta >= 0.0, clamped)
 
 
 def asymptotic_secrecy_capacity(gamma_b: float, gamma_e: float) -> float:

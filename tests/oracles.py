@@ -3,8 +3,10 @@
 These deliberately avoid the code paths used by the package: the Gaussian
 tail comes from adaptive quadrature of the density (not erfc), binomial
 quantities from exact rational enumeration (not lgamma), small-block
-counts from walking every error pattern, and the artificial-noise null
-space from an SVD (not the package's closed-form leakage).
+counts from walking every error pattern, the artificial-noise null
+space from an SVD (not the package's closed-form leakage), and LOB's
+zero-SINR policy from one scalar rate_interval, max_rate or r_inf call per
+trial (not the package's array masks).
 """
 
 import math
@@ -13,7 +15,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from fblsec import fb_coding
 from fblsec.channels import steering_vector
+from fblsec.secrecy import SecrecyAssessment, r_inf, rate_interval
 
 
 def q_oracle(x: float) -> float:
@@ -63,3 +67,31 @@ def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
     a = steering_vector(theta_hat, n_antennas)
     # The trailing right-singular vectors of the 1 x N matrix a^H span its null space.
     return np.linalg.svd(a.conj()[np.newaxis, :])[2][1:].conj().T
+
+
+def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAssessment:
+    """LOB's assessment of one trial, zero SINRs included, from scalar calls.
+
+    A receiver with no signal power decodes nothing: at Eve every rate is
+    secure (floor zero); at Bob the trial is infeasible with a zero,
+    clamped ceiling.
+    """
+    if sinr_bob > 0.0 and sinr_eve > 0.0:
+        return rate_interval(n, sinr_bob, sinr_eve, constraints, approx)
+    if sinr_bob > 0.0:
+        ceiling = fb_coding.max_rate(n, constraints.beta_b, sinr_bob, approx)
+        return SecrecyAssessment(
+            r_sup=ceiling.rate,
+            r_inf=0.0,
+            delta_r=ceiling.rate,
+            feasible=True,
+            r_sup_clamped=ceiling.clamped,
+        )
+    floor = r_inf(n, constraints.beta_e, sinr_eve, approx) if sinr_eve > 0.0 else 0.0
+    return SecrecyAssessment(
+        r_sup=0.0,
+        r_inf=floor,
+        delta_r=-floor,
+        feasible=False,
+        r_sup_clamped=True,
+    )

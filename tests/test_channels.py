@@ -163,3 +163,8 @@ class TestReciprocityError:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             ReciprocityError(-0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1])
+    def test_sigma_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="sigma_delta must be finite and >= 0"):
+            ReciprocityError(value)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestRunCipc:
     def test_power_and_noise_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             make_config(**{name: value})
+
+
+    def test_beta_e_warning_once_per_run(self):
+        cfg = make_config(trials=2000, constraints=ConstraintPair(1e-6, 0.7))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_cipc(cfg)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "beta_e=0.7" in str(caught[0].message)
+
+    def test_columns_match_records(self):
+        cfg = make_config(n_antennas_tx=1, p_max=1.0, trials=300, reciprocity=ReciprocityError(0.1))
+        result = run_cipc(cfg)
+        records = result.records
+        assert result.sent.tolist() == [not r.suspended for r in records]
+        sent = [r for r in records if not r.suspended]
+        assert 0 < len(sent) < len(records)
+        assert result.p_t.tolist() == [r.p_t for r in sent]
+        assert result.gamma_b.tolist() == [r.gamma_b for r in sent]
+        assert result.gamma_e.tolist() == [r.gamma_e for r in sent]
+        assert result.assessment.assessments() == [r.assessment for r in sent]
 
 
 class TestOptimizeQ:

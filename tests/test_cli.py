@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import math
+
 import fblsec
-from fblsec import __version__
+from fblsec import __version__, cli
+from fblsec.cipc import CipcResult, run_cipc
 from fblsec.cli import _COMMANDS, main
+from fblsec.lob import LobResult, run_lob
 from fblsec.fb_coding import capacity, db_to_linear
 
 
@@ -227,6 +231,20 @@ class TestErrorPaths:
         assert f"{name} must be positive and finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["lob", "--trials", "3", "--loc-error-deg", "inf"], "location_error_std"),
+            (["cipc", "--trials", "3", "--sigma-delta", "inf"], "sigma_delta"),
+        ],
+    )
+    def test_non_finite_bearing_or_reciprocity_error_rejected(self, argv, name, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{name} must be finite and >= 0, got inf" in captured.err
+        assert "RuntimeWarning" not in captured.err
+        assert captured.out == ""
+
     def test_io_failure(self, tmp_path):
         missing_dir = tmp_path / "not" / "there" / "f.csv"
         assert main(["fig2", "--out", str(missing_dir)]) == 4
@@ -249,6 +267,86 @@ class TestErrorPaths:
         )
         _, body = rows(out)
         assert len(body) == 4  # explicit flag beats the file
+
+
+def _sci(x):
+    return f"{x:.12e}"
+
+
+def _db(x):
+    return _sci(10.0 * math.log10(x)) if x > 0.0 else "-inf"
+
+
+def _assessment(a):
+    return [_sci(a.r_sup), _sci(a.r_inf), _sci(a.delta_r), "true" if a.feasible else "false"]
+
+
+def _cipc_line(rec):
+    if rec.suspended:
+        return f"{rec.trial_id},suspended,,,,,,false"
+    return ",".join(
+        [str(rec.trial_id), _sci(rec.p_t), _db(rec.gamma_b), _db(rec.gamma_e), *_assessment(rec.assessment)]
+    )
+
+
+def _lob_line(rec):
+    return ",".join(
+        [str(rec.trial_id), _sci(rec.theta_hat), _db(rec.sinr_bob), _db(rec.sinr_eve), *_assessment(rec.assessment)]
+    )
+
+
+class TestSimulatorCsvFromColumns:
+    """Block-formatted CSVs against one f-string per cell of the records."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cipc", "--trials", "2500", "--antennas", "4", "--p-max", "0.4", "--sigma-delta", "0.1"],
+            ["cipc", "--trials", "1000", "--p-max", "1e-9"],
+            pytest.param(
+                ["cipc", "--trials", "1001", "--beta-e", "1.0"],
+                marks=pytest.mark.filterwarnings("ignore:beta_e=1.0"),
+            ),
+        ],
+    )
+    def test_cipc(self, argv, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        args = cli._build_parser().parse_args(argv)
+        records = run_cipc(cli._cipc_config(args, args.q_target)).records
+        assert read(out).decode().splitlines()[1:] == [_cipc_line(rec) for rec in records]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lob", "--trials", "2500", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4"],
+            ["lob", "--trials", "1200", "--an-fraction", "1.0"],
+        ],
+    )
+    def test_lob(self, argv, tmp_path):
+        out = tmp_path / "l.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        args = cli._build_parser().parse_args(argv)
+        records = run_lob(cli._lob_config(args, args.an_fraction)).records
+        assert read(out).decode().splitlines()[1:] == [_lob_line(rec) for rec in records]
+
+    @pytest.mark.parametrize("command", ["cipc", "lob"])
+    def test_cli_never_builds_records(self, command, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("records built")
+
+        for result_type in (CipcResult, LobResult):
+            monkeypatch.setattr(result_type, "records", property(refuse))
+        assert main([command, "--trials", "50", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    parser = cli._build_parser()
+    misses = cli._build_parser.cache_info().misses
+    assert main(["interval", "--n", "500"]) == 0
+    assert main(["cipc", "--trials", "5", "--out", str(tmp_path / "c.csv")]) == 0
+    assert cli._build_parser.cache_info().misses == misses
+    assert cli._build_parser() is parser
 
 
 # A small run of every command, for the checks that hold across the table.

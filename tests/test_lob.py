@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +9,17 @@ from fblsec.channels import sample_rician, steering_vector, RicianSpec
 from fblsec.lob import (
     LobConfig,
     _an_leakage,
+    _rate_intervals,
     lob_beamformer,
     optimize_an_fraction,
     run_lob,
     sinr_pair,
 )
 from fblsec.numerics import RngSeed
+from fblsec.fb_coding import ApproximationConfig
 from fblsec.secrecy import ConstraintPair
 
-from oracles import an_basis
+from oracles import an_basis, assess_sinr_pair
 
 CP = ConstraintPair(1e-6, 0.5)
 
@@ -253,6 +256,56 @@ class TestRunLob:
         # SINR nan, which _assess scored as zero SINR.
         with pytest.raises(ValueError, match=name):
             make_config(**{name: value})
+
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_location_error_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="location_error_std must be finite and >= 0"):
+            make_config(location_error_std=value)
+
+
+class TestZeroSinrMasks:
+    """LOB's zero-SINR masks against the scalar policy in the oracles."""
+
+    SINR_BOB = [0.0, 0.0, 0.0, 40.0, 3.0, 1e-3, 40.0]
+    SINR_EVE = [0.0, 2.0, 1e-4, 0.0, 0.0, 5.0, 2.0]
+
+    @pytest.mark.parametrize("beta_e", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("log_term", [False, True])
+    def test_matches_scalar_policy(self, beta_e, log_term):
+        approx = ApproximationConfig(include_log_term=log_term)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cp = ConstraintPair(1e-6, beta_e)
+            got = _rate_intervals(
+                100, np.array(self.SINR_BOB), np.array(self.SINR_EVE), cp, approx
+            )
+            want = [
+                assess_sinr_pair(100, b, e, cp, approx)
+                for b, e in zip(self.SINR_BOB, self.SINR_EVE)
+            ]
+        assert got.assessments() == want
+        assert np.signbit(got.delta_r).tolist() == [
+            math.copysign(1.0, a.delta_r) < 0.0 for a in want
+        ]
+        # Both receivers silent: delta_r is -0.0, as -floor makes it.
+        assert got.delta_r[0] == 0.0 and np.signbit(got.delta_r[0])
+
+    def test_all_zero_eve_gives_no_beta_e_warning(self):
+        cfg = make_config(an_fraction=1.0, trials=30, constraints=ConstraintPair(1e-6, 0.7))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_lob(cfg)
+        assert caught == []
+        assert (result.sinr_eve == 0.0).all()
+
+    def test_beta_e_warning_once_per_run(self):
+        cfg = make_config(trials=500, constraints=ConstraintPair(1e-6, 0.7))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_lob(cfg)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "beta_e=0.7" in str(caught[0].message)
 
 
 class TestOptimizeAnFraction:

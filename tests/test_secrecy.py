@@ -1,8 +1,9 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblsec.fb_coding import (
@@ -20,6 +21,7 @@ from fblsec.secrecy import (
     r_inf,
     r_sup,
     rate_interval,
+    rate_interval_batch,
     security_gap,
 )
 
@@ -259,3 +261,91 @@ class TestMinBlocklengthAgainstScan:
                 None,
             )
             assert min_blocklength(gb, ge, cp, cfg, n_max=n_max) == scan
+
+
+class TestRateIntervalBatch:
+    """The array kernel against the scalar rate_interval, entry by entry."""
+
+    @given(
+        n=st.one_of(st.just(1), st.integers(1, 10**6)),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 200),
+        beta_b=st.floats(1e-12, 0.6),
+        beta_e=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-3, 1.0)),
+        log_term=st.booleans(),
+    )
+    @example(n=1, seed=0, size=50, beta_b=1e-6, beta_e=1.0, log_term=True)
+    @example(n=3, seed=1, size=50, beta_b=1e-9, beta_e=0.7, log_term=False)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rate_interval(self, n, seed, size, beta_b, beta_e, log_term):
+        # SNRs log-uniform over -60..60 dB: arbitrary doubles, many of them
+        # low enough at small n for a clamped ceiling.
+        rng = np.random.default_rng(seed)
+        gb, ge = 10.0 ** rng.uniform(-6.0, 6.0, size=(2, size))
+        cfg = ApproximationConfig(include_log_term=log_term)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cp = ConstraintPair(beta_b, beta_e)
+            batch = rate_interval_batch(n, gb, ge, cp, cfg)
+            scalar = [rate_interval(n, b, e, cp, cfg) for b, e in zip(gb.tolist(), ge.tolist())]
+        for name in ("r_sup", "r_inf", "delta_r"):
+            got = getattr(batch, name)
+            want = np.array([getattr(a, name) for a in scalar])
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=2)
+        assert batch.r_sup_clamped.tolist() == [a.r_sup_clamped for a in scalar]
+        decided = np.abs(batch.delta_r) > 1e-12
+        assert batch.feasible[decided].tolist() == [
+            a.feasible for a, d in zip(scalar, decided.tolist()) if d
+        ]
+        # The kernel takes the scalar path's float operations in the same
+        # order, so it is in fact bit-identical; the CLI's CSVs rely on that.
+        assert batch.assessments() == scalar
+        assert np.signbit(batch.delta_r).tolist() == [math.copysign(1.0, a.delta_r) < 0 for a in scalar]
+
+    def test_clamped_ceiling_and_infinite_floor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cp = ConstraintPair(1e-6, 1.0)
+            a = rate_interval_batch(5, [db_to_linear(-25.0), GB], [GE, GE], cp)
+        assert a.r_sup[0] == 0.0 and a.r_sup_clamped.tolist() == [True, False]
+        assert a.r_inf.tolist() == [math.inf, math.inf]
+        assert a.delta_r.tolist() == [-math.inf, -math.inf] and not a.feasible.any()
+
+    def test_warns_once_per_call(self):
+        cp = ConstraintPair(1e-6, 0.7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rate_interval_batch(500, np.full(50, GB), np.full(50, GE), cp)
+            rate_interval_batch(500, [], [], cp)
+        assert [str(w.message).split(" ")[0] for w in caught] == ["beta_e=0.7"]
+        assert caught[0].category is RuntimeWarning
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["bob", "eve"])
+    def test_rejects_snr_with_scalar_message(self, bad, side):
+        gamma = [GB, GB, bad, -2.0]
+        other = [GE] * 4
+        args = (gamma, other) if side == "bob" else (other, gamma)
+        with pytest.raises(ValueError) as batch_error:
+            rate_interval_batch(500, *args, CP)
+        with pytest.raises(ValueError) as scalar_error:
+            rate_interval(500, *(x[2] for x in args), CP)
+        assert str(batch_error.value) == str(scalar_error.value)
+
+    def test_rejects_bad_blocklength_and_shape_mismatch(self):
+        with pytest.raises(ValueError, match="blocklength"):
+            rate_interval_batch(0, [GB], [GE], CP)
+        with pytest.raises(ValueError, match="shape"):
+            rate_interval_batch(500, [GB, GB], [GE], CP)
+
+    def test_any_equal_shape(self):
+        gb = np.array([[GB, 2.0 * GB, 0.5], [3.0, GB, 7.0]])
+        ge = np.array([[GE, 0.1, GE], [2.0, 0.3, GE]])
+        a = rate_interval_batch(500, gb, ge, CP)
+        assert a.delta_r.shape == (2, 3)
+        flat = rate_interval_batch(500, gb.ravel(), ge.ravel(), CP)
+        assert all(np.array_equal(x.ravel(), y) for x, y in zip(a, flat))
+        single = rate_interval_batch(500, GB, GE, CP)
+        assert single.delta_r.shape == () and single.delta_r == rate_interval(500, GB, GE, CP).delta_r

@@ -4,11 +4,12 @@ usage: python tools/cli_diff.py OLD_SRC NEW_SRC [--lob-tol]
 
 Each case runs every command line of its list, in order, in a fresh
 interpreter inside one empty directory, and records the exit code, stdout,
-stderr and every file left behind. The manifest ``timestamp`` line and the
-``file.py:line:`` prefix of Python warnings are masked, since neither is
-output of the program. SVG files are left out because matplotlib may be
-absent. The argparse spec of every subcommand (flags, dests, types,
-defaults, required-ness, nargs, metavar, help) is compared too.
+stderr and every file left behind. The manifest ``timestamp`` line, the
+``file.py:line:`` prefix of Python warnings and the source line printed
+under such a warning are masked, since none of them is output of the
+program. SVG files are left out because matplotlib may be absent. The
+argparse spec of every subcommand (flags, dests, types, defaults,
+required-ness, nargs, metavar, help) is compared too.
 
 A case passes when both trees give identical results, or when the only
 differences are allowed: "wrote 1 rows" becoming "wrote 1 row", and, with
@@ -70,11 +71,17 @@ CASES = [
     _one("cipc", "--trials", "200", "--antennas", "4", "--p-max", "3", "--sigma-delta", "0.05",
          "--out", "c.csv"),
     _one("cipc", "--trials", "1", "--out", "c.csv"),
+    _one("cipc", "--trials", "5000", "--antennas", "4", "--p-max", "0.4", "--sigma-delta", "0.1",
+         "--out", "c.csv"),
+    _one("cipc", "--trials", "200", "--beta-e", "0.7", "--out", "c.csv"),
     _one("cipc", "--trials", "20", "--out=c.csv", "--config=c.cfg"),
     _one("lob", "--trials", "30", "--loc-error-deg", "2"),
     _one("lob", "--trials", "200", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4",
          "--out", "l.csv"),
     _one("lob", "--trials", "25", "--an-fraction", "1.0", "--out", "l.csv"),
+    _one("lob", "--trials", "3000", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4",
+         "--out", "l.csv"),
+    _one("lob", "--trials", "25", "--an-fraction", "1.0", "--beta-e", "0.7", "--out", "l.csv"),
     _one("lob", "--trials", "50", "--out", "l.csv"),
     _one("lob", "--trials", "40", "--antennas", "8", "--k-bob", "inf", "--loc-error-deg", "1",
          "--out", "l.csv"),
@@ -108,6 +115,8 @@ CASES = [
     _one("lob", "--antennas", "1"),
     _one("lob", "--power", "inf", "--an-fraction", "0"),
     _one("cipc", "--noise-b", "inf"),
+    _one("lob", "--trials", "3", "--loc-error-deg", "inf"),
+    _one("cipc", "--trials", "3", "--sigma-delta", "inf"),
     # config files and manifest replay
     [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
      ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
@@ -128,6 +137,7 @@ CASES = [
 
 def _mask(text: str) -> str:
     text = re.sub(r"^timestamp = .*$", "timestamp = <masked>", text, flags=re.M)
+    text = re.sub(r"^\S+\.py:\d+: (.*)\n  .*$", r"<source>: \1\n  <source line>", text, flags=re.M)
     return re.sub(r"^\S+\.py:\d+: ", "<source>: ", text, flags=re.M)
 
 
