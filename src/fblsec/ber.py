@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .numerics import (
     UnsatisfiableError,
     _as_count,
     _binomial_log_pmf,
+    _log_binomial_coef,
     binomial_cdf,
+    brent_root,
     q_func,
 )
 
@@ -107,31 +110,44 @@ def post_decoding_ber(code: CodeSpec, p: float) -> float:
 
     Nondecreasing in p, equal to p exactly for an uncoded block (t = 0).
     """
-    p = _check_prob(p)
+    return _ber_curve(code)(_check_prob(p))
+
+
+def _ber_curve(code: CodeSpec) -> Callable[[float], float]:
+    """post_decoding_ber(code, .) for a checked p, with every term that does
+    not depend on p (the failure counts j, their log binomial coefficients
+    and their bit-error weights min(n, j + t)) computed once.
+    """
     n, t = code.n_bits, code.t
-    if p == 0.0 or t == n:
-        return 0.0
-    if t == 0:
-        return p  # uncoded: the sum telescopes to E[X]/n
-    if p == 1.0:
-        return 1.0  # all n bits flip, decoding fails, min(n, n + t) = n
-    j = np.arange(t + 1, n + 1)
-    weighted = np.minimum(n, j + t) * np.exp(_binomial_log_pmf(j, n, p))
-    return float(min(1.0, weighted.sum() / n))
+    j = np.arange(t + 1, n + 1, dtype=float)  # float, so no step converts the counts
+    log_coef = _log_binomial_coef(j, n)
+    weights = np.minimum(n, j + t)
+
+    def ber(p: float) -> float:
+        if p == 0.0 or t == n:
+            return 0.0
+        if t == 0:
+            return p  # uncoded: the sum telescopes to E[X]/n
+        if p == 1.0:
+            return 1.0  # all n bits flip, decoding fails, min(n, n + t) = n
+        weighted = weights * np.exp(_binomial_log_pmf(j, n, p, log_coef))
+        return float(min(1.0, weighted.sum() / n))
+
+    return ber
 
 
 def _solve_snr_for_ber(
-    code: CodeSpec,
+    ber: Callable[[float], float],
     target: float,
     want_at_most: bool,
     side: str,
 ) -> tuple[float, bool]:
-    # post_decoding_ber(code, bsc_crossover(snr)) is nonincreasing in SNR.
+    # ber(bsc_crossover(snr)), a code's _ber_curve, is nonincreasing in SNR.
     lo_db, hi_db = SNR_BRACKET_DB
     lo, hi = db_to_linear(lo_db), db_to_linear(hi_db)
 
     def ber_at(snr: float) -> float:
-        return post_decoding_ber(code, bsc_crossover(snr))
+        return ber(bsc_crossover(snr))
 
     ber_lo, ber_hi = ber_at(lo), ber_at(hi)
     if want_at_most:
@@ -150,7 +166,7 @@ def _solve_snr_for_ber(
         if ber_lo < target:
             # The BER ceiling is its zero-SNR limit (flip rate 1/2); the
             # 1e-12 slack absorbs the lgamma rounding of that sum.
-            ceiling = post_decoding_ber(code, 0.5)
+            ceiling = ber(0.5)
             if target <= ceiling + 1e-12:
                 # Attained only in the zero-SNR limit, below the bracket.
                 return lo, True
@@ -159,9 +175,7 @@ def _solve_snr_for_ber(
                 f"ceiling at zero SNR is {ceiling:.6g}"
             )
 
-    from scipy.optimize import brentq  # on first use, as in secrecy
-
-    root_db = brentq(
+    root_db = brent_root(
         lambda snr_db: ber_at(db_to_linear(snr_db)) - target, lo_db, hi_db, xtol=1e-12
     )
     return db_to_linear(root_db), False
@@ -174,11 +188,12 @@ def ber_security_gap(code: CodeSpec, thresholds: BerThresholds) -> BerSecurityGa
     post_decoding_ber over SNR; a threshold met across an entire bracket
     side returns the bracket edge with the corresponding flag set.
     """
+    ber = _ber_curve(code)
     snr_b_min, bob_edge = _solve_snr_for_ber(
-        code, thresholds.p_ber_max_b, True, "reliability constraint (Bob)"
+        ber, thresholds.p_ber_max_b, True, "reliability constraint (Bob)"
     )
     snr_e_max, eve_edge = _solve_snr_for_ber(
-        code, thresholds.p_ber_min_e, False, "security constraint (Eve)"
+        ber, thresholds.p_ber_min_e, False, "security constraint (Eve)"
     )
     gap = snr_b_min / snr_e_max
     return BerSecurityGap(

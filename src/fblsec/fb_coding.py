@@ -111,7 +111,12 @@ def _log_term(n: int, cfg: ApproximationConfig) -> float:
 
 def _rate_bound(n: int, eps: float, gamma: float, cfg: ApproximationConfig) -> float:
     """Unclamped rate bound C - sqrt(V/n) * Qinv(eps) + delta; callers validate."""
-    return capacity(gamma) - math.sqrt(dispersion(gamma) / n) * q_func_inv(eps) + _log_term(n, cfg)
+    return _rate_from(n, capacity(gamma), dispersion(gamma), q_func_inv(eps), _log_term(n, cfg))
+
+
+def _rate_from(n: int, cap: float, disp: float, q_inv: float, log_term: float) -> float:
+    """_rate_bound from its parts C, V, Qinv(eps) and delta, computed beforehand."""
+    return cap - math.sqrt(disp / n) * q_inv + log_term
 
 
 def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, cfg: ApproximationConfig) -> np.ndarray:
@@ -155,9 +160,17 @@ def error_probability(
     """
     n = _check_blocklength(n)
     rate = _check_rate(rate)
-    gamma = _check_snr(gamma)
-    v = dispersion(gamma)
-    arg = math.sqrt(n / v) * (capacity(gamma) - rate + _log_term(n, cfg))
+    return _error_probability(n, rate, _check_snr(gamma), _log_term(n, cfg))
+
+
+def _error_probability(n: int, rate: float, gamma: float, log_term: float) -> float:
+    """error_probability of checked n, rate and gamma, given delta.
+
+    dispersion and capacity are inlined without their SNR checks, so a
+    root-find over gamma checks nothing per step.
+    """
+    v = (1.0 - (1.0 + gamma) ** -2) * DISPERSION_LIMIT
+    arg = math.sqrt(n / v) * (math.log2(1.0 + gamma) - rate + log_term)
     return q_func(arg)
 
 

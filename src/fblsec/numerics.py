@@ -1,4 +1,4 @@
-"""Special functions, binomial tails, and reproducible random streams.
+"""Special functions, binomial tails, a root-finder and reproducible random streams.
 
 Everything here is pure: identical inputs (seeds included) give bit-identical
 outputs, no function keeps hidden state, and concurrent use is safe.
@@ -7,13 +7,18 @@ outputs, no function keeps hidden state, and concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, ndtri
 
 _SQRT2 = math.sqrt(2.0)
 _U64 = 2**64
+#: brent_root's relative tolerance (the smallest SciPy accepts) and iteration cap.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 class UnsatisfiableError(ValueError):
@@ -65,19 +70,76 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    log_pmf = _binomial_log_pmf(np.arange(k + 1), n, p)
+    j = np.arange(k + 1)
+    log_pmf = _binomial_log_pmf(j, n, p, _log_binomial_coef(j, n))
     return float(min(1.0, math.exp(logsumexp(log_pmf))))
 
 
-def _binomial_log_pmf(j: np.ndarray, n: int, p: float) -> np.ndarray:
-    """log P(X = j) for X ~ Binomial(n, p), 0 < p < 1, from lgamma."""
-    return (
-        gammaln(n + 1.0)
-        - gammaln(j + 1.0)
-        - gammaln(n - j + 1.0)
-        + j * math.log(p)
-        + (n - j) * math.log1p(-p)
-    )
+def _log_binomial_coef(j: np.ndarray, n: int) -> np.ndarray:
+    """log C(n, j) from lgamma."""
+    return gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+
+
+def _binomial_log_pmf(j: np.ndarray, n: int, p: float, log_coef: np.ndarray) -> np.ndarray:
+    """log P(X = j) for X ~ Binomial(n, p), 0 < p < 1, given log_coef = log C(n, j).
+
+    The coefficients do not depend on p, so a search over p computes them once.
+    """
+    return log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b] by Brent's method, given f(a) and f(b) of opposite signs.
+
+    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
+    in the variant of SciPy's C solver: the same steps, the same stopping
+    test |step| < (xtol + 4 eps |x|) / 2 and the same 100-iteration cap, so
+    its iterates and result are those of SciPy's Brent root-finder. An
+    exact zero at either end is returned as is. f must return finite
+    values. Raises ValueError when f(a) and f(b) have the same sign, and
+    RuntimeError when the cap is reached.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f(a) and f(b) must have different signs, got {fpre!r} and {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        # C's signbit, for the nonzero values compared here, is < 0.
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step through three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"brent_root did not converge in {_BRENT_MAXITER} iterations; last x = {xcur!r}")
 
 
 def _as_count(value, name: str) -> int:

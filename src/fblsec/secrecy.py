@@ -29,7 +29,7 @@ from .fb_coding import (
     db_to_linear,
     linear_to_db,
 )
-from .numerics import UnsatisfiableError
+from .numerics import UnsatisfiableError, brent_root, q_func_inv
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,10 +230,13 @@ def _solve_snr_for_error_prob(
 ) -> float:
     # error_probability is strictly decreasing in SNR, so the root in the
     # bracket is unique when it exists. Solved in dB (log-SNR) space.
+    n = fb_coding._check_blocklength(n)
+    rate = fb_coding._check_rate(rate)
+    log_term = fb_coding._log_term(n, cfg)
     lo_db, hi_db = SNR_BRACKET_DB
 
     def residual(snr_db: float) -> float:
-        return fb_coding.error_probability(n, rate, db_to_linear(snr_db), cfg) - target
+        return fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term) - target
 
     res_lo = residual(lo_db)
     res_hi = residual(hi_db)
@@ -251,12 +254,7 @@ def _solve_snr_for_error_prob(
         return db_to_linear(lo_db)
     if res_hi == 0.0:
         return db_to_linear(hi_db)
-    # Imported on first use: scipy.optimize pulls in scipy.linalg, sparse and
-    # more, which the simulators and the rate metrics never need.
-    from scipy.optimize import brentq
-
-    root_db = brentq(residual, lo_db, hi_db, xtol=1e-12)
-    return db_to_linear(root_db)
+    return db_to_linear(brent_root(residual, lo_db, hi_db, xtol=1e-12))
 
 
 def security_gap(
@@ -302,17 +300,29 @@ def min_blocklength(
 
     Returns None when no such n exists. delta_r(n) is monotone in n (it
     has the form constant + kappa / sqrt(n)), so an exponential bracket
-    followed by a binary search finds the crossover exactly.
+    followed by a binary search finds the crossover exactly. Warns once
+    per call, as rate_interval does, when beta_e > 0.5.
     """
     n_max = fb_coding._check_blocklength(n_max)
+    # The n = 1 probe is rate_interval itself: it checks the SNRs and the
+    # constraints with their usual messages, and warns once for beta_e > 0.5.
+    if rate_interval(1, gamma_b, gamma_e, constraints, cfg).feasible:
+        return 1
+    if n_max == 1 or constraints.beta_e == 1.0:
+        return None  # at beta_e = 1 the rate floor is +inf for every n
+    cap_b, disp_b = fb_coding.capacity(gamma_b), fb_coding.dispersion(gamma_b)
+    cap_e, disp_e = fb_coding.capacity(gamma_e), fb_coding.dispersion(gamma_e)
+    q_b, q_e = q_func_inv(constraints.beta_b), q_func_inv(constraints.beta_e)
 
     def feasible(n: int) -> bool:
-        return rate_interval(n, gamma_b, gamma_e, constraints, cfg).feasible
+        # rate_interval(n, gamma_b, gamma_e, constraints, cfg).feasible, by the
+        # same arithmetic on the parts that do not depend on n.
+        log_term = fb_coding._log_term(n, cfg)
+        r_sup = fb_coding._rate_from(n, cap_b, disp_b, q_b, log_term)
+        if r_sup < 0.0:
+            r_sup = 0.0
+        return r_sup - fb_coding._rate_from(n, cap_e, disp_e, q_e, log_term) >= 0.0
 
-    if feasible(1):
-        return 1
-    if n_max == 1:
-        return None
     lo = 1  # known infeasible
     hi = 2
     while hi < n_max and not feasible(hi):

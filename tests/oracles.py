@@ -4,20 +4,31 @@ These deliberately avoid the code paths used by the package: the Gaussian
 tail comes from adaptive quadrature of the density (not erfc), binomial
 quantities from exact rational enumeration (not lgamma), small-block
 counts from walking every error pattern, the artificial-noise null
-space from an SVD (not the package's closed-form leakage), and LOB's
+space from an SVD (not the package's closed-form leakage), LOB's
 zero-SINR policy from one scalar rate_interval, max_rate or r_inf call per
-trial (not the package's array masks).
+trial (not the package's array masks), and the three SNR and blocklength
+searches with every step re-deriving its whole value from checked public
+calls (or, for the post-decoding BER, from its own lgamma sum) and the
+roots taken from scipy.optimize.brentq (not from constants computed once
+per search and the package's Brent port).
 """
 
+import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from fblsec import fb_coding
+from fblsec.ber import BerSecurityGap, bsc_crossover
 from fblsec.channels import steering_vector
-from fblsec.secrecy import SecrecyAssessment, r_inf, rate_interval
+from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, linear_to_db
+from fblsec.numerics import UnsatisfiableError, q_func
+from fblsec.secrecy import SecrecyAssessment, SecurityGap, r_inf, rate_interval
 
 
 def q_oracle(x: float) -> float:
@@ -95,3 +106,148 @@ def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAsses
         feasible=False,
         r_sup_clamped=True,
     )
+
+
+def error_probability_steps(n, rate, gamma, cfg) -> float:
+    """error_probability with every check, from capacity and dispersion."""
+    n = fb_coding._check_blocklength(n)
+    rate = fb_coding._check_rate(rate)
+    gamma = fb_coding._check_snr(gamma)
+    v = fb_coding.dispersion(gamma)
+    arg = math.sqrt(n / v) * (fb_coding.capacity(gamma) - rate + fb_coding._log_term(n, cfg))
+    return q_func(arg)
+
+
+def security_gap_search(n, rate, constraints, cfg) -> SecurityGap:
+    """security_gap by brentq over a residual that checks its inputs every step."""
+    rate = float(rate)
+    if not rate > 0.0:
+        raise ValueError(f"security_gap requires rate > 0, got {rate!r}")
+    lo_db, hi_db = SNR_BRACKET_DB
+
+    def solve(target, side):
+        def residual(snr_db):
+            return error_probability_steps(n, rate, db_to_linear(snr_db), cfg) - target
+
+        res_lo, res_hi = residual(lo_db), residual(hi_db)
+        if res_lo < 0.0:
+            raise UnsatisfiableError(
+                f"{side}: error probability is already below {target} at the "
+                f"{lo_db} dB end of the search bracket"
+            )
+        if res_hi > 0.0:
+            raise UnsatisfiableError(
+                f"{side}: error probability stays above {target} even at the "
+                f"{hi_db} dB end of the search bracket"
+            )
+        if res_lo == 0.0:
+            return db_to_linear(lo_db)
+        if res_hi == 0.0:
+            return db_to_linear(hi_db)
+        return db_to_linear(brentq(residual, lo_db, hi_db, xtol=1e-12))
+
+    snr_b_min = solve(constraints.beta_b, "reliability constraint (Bob)")
+    snr_e_max = solve(constraints.beta_e, "security constraint (Eve)")
+    gap = snr_b_min / snr_e_max
+    return SecurityGap(snr_b_min, snr_e_max, gap, linear_to_db(gap))
+
+
+def post_decoding_ber_sum(n: int, t: int, p: float) -> float:
+    """post_decoding_ber, every lgamma and weight recomputed for this p."""
+    if p == 0.0 or t == n:
+        return 0.0
+    if t == 0:
+        return p
+    if p == 1.0:
+        return 1.0
+    j = np.arange(t + 1, n + 1)
+    log_pmf = (
+        gammaln(n + 1.0)
+        - gammaln(j + 1.0)
+        - gammaln(n - j + 1.0)
+        + j * math.log(p)
+        + (n - j) * math.log1p(-p)
+    )
+    weighted = np.minimum(n, j + t) * np.exp(log_pmf)
+    return float(min(1.0, weighted.sum() / n))
+
+
+def ber_security_gap_search(code, thresholds) -> BerSecurityGap:
+    """ber_security_gap by brentq over post_decoding_ber_sum."""
+    n, t = code.n_bits, code.t
+    lo_db, hi_db = SNR_BRACKET_DB
+    lo, hi = db_to_linear(lo_db), db_to_linear(hi_db)
+
+    def ber_at(snr):
+        return post_decoding_ber_sum(n, t, bsc_crossover(snr))
+
+    def solve(target, want_at_most, side):
+        ber_lo, ber_hi = ber_at(lo), ber_at(hi)
+        if want_at_most:
+            if ber_lo <= target:
+                return lo, True
+            if ber_hi > target:
+                raise UnsatisfiableError(
+                    f"{side}: post-decoding BER stays above {target} across the "
+                    f"whole SNR bracket [{lo_db}, {hi_db}] dB"
+                )
+        else:
+            if ber_hi >= target:
+                return hi, True
+            if ber_lo < target:
+                ceiling = post_decoding_ber_sum(n, t, 0.5)
+                if target <= ceiling + 1e-12:
+                    return lo, True
+                raise UnsatisfiableError(
+                    f"{side}: post-decoding BER never reaches {target}; its "
+                    f"ceiling at zero SNR is {ceiling:.6g}"
+                )
+        root_db = brentq(lambda snr_db: ber_at(db_to_linear(snr_db)) - target, lo_db, hi_db, xtol=1e-12)
+        return db_to_linear(root_db), False
+
+    snr_b_min, bob_edge = solve(thresholds.p_ber_max_b, True, "reliability constraint (Bob)")
+    snr_e_max, eve_edge = solve(thresholds.p_ber_min_e, False, "security constraint (Eve)")
+    gap = snr_b_min / snr_e_max
+    return BerSecurityGap(snr_b_min, snr_e_max, gap, linear_to_db(gap), bob_edge, eve_edge)
+
+
+def min_blocklength_search(gamma_b, gamma_e, constraints, cfg, n_max):
+    """min_blocklength with one full rate_interval call per probed n."""
+    n_max = fb_coding._check_blocklength(n_max)
+
+    def feasible(n):
+        return rate_interval(n, gamma_b, gamma_e, constraints, cfg).feasible
+
+    if feasible(1):
+        return 1
+    if n_max == 1:
+        return None
+    lo, hi = 1, 2
+    while hi < n_max and not feasible(hi):
+        lo = hi
+        hi = min(hi * 2, n_max)
+    if not feasible(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def exact_outcome(call, *args):
+    """What call(*args) gives, floats as float.hex, or the error it raises.
+
+    Warnings are silenced, so that calls on inverted or beyond-guessing
+    constraints compare too.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = call(*args)
+    except ValueError as error:  # UnsatisfiableError included
+        return type(error).__name__, str(error)
+    values = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fblsec.ber import (
@@ -17,7 +17,13 @@ from fblsec.ber import (
 from fblsec.fb_coding import db_to_linear
 from fblsec.numerics import UnsatisfiableError
 
-from oracles import binomial_cdf_patterns, post_decoding_ber_exact, q_oracle
+from oracles import (
+    ber_security_gap_search,
+    binomial_cdf_patterns,
+    exact_outcome,
+    post_decoding_ber_exact,
+    q_oracle,
+)
 
 HAMMING = CodeSpec(n_bits=7, t=1)
 
@@ -176,3 +182,42 @@ class TestBerSecurityGap:
         # ceiling at zero SNR is 2^-n of... far below the demanded floor.
         with pytest.raises(UnsatisfiableError, match="security"):
             ber_security_gap(CodeSpec(4, 3), BerThresholds(1e-3, 0.4))
+
+
+@st.composite
+def _codes(draw):
+    """Codes with t = 0, t = n, t = n - 1 or any t."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 600)))
+    kind = draw(st.sampled_from(("uncoded", "all", "all_but_one", "any")))
+    if kind == "any":
+        return CodeSpec(n, draw(st.integers(0, n)))
+    return CodeSpec(n, {"uncoded": 0, "all": n, "all_but_one": n - 1}[kind])
+
+
+class TestBerSecurityGapMatchesStepwiseOracle:
+    """ber_security_gap, with the BER curve's constants computed once per
+    search, against brentq over a BER sum recomputed at every step."""
+
+    @given(
+        code=_codes(),
+        ber_b=st.one_of(st.floats(-9.0, -0.31).map(lambda e: 10.0**e), st.floats(0.499, 0.49999)),
+        ber_e_share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    # Eve alone and both sides at the bracket edge (uncoded, so the BER is
+    # 0.49944 at -60 dB), and Bob at it with Eve unsatisfiable (t = n).
+    @example(code=CodeSpec(31, 0), ber_b=1e-3, ber_e_share=1.0)
+    @example(code=CodeSpec(10, 0), ber_b=0.49995, ber_e_share=1.0)
+    @example(code=CodeSpec(20, 20), ber_b=1e-3, ber_e_share=0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, code, ber_b, ber_e_share):
+        ber_e = min(0.5, ber_b + ber_e_share * (0.5 - ber_b))
+        assume(ber_b < ber_e)
+        thresholds = BerThresholds(ber_b, ber_e)
+        assert exact_outcome(ber_security_gap, code, thresholds) == exact_outcome(
+            ber_security_gap_search, code, thresholds
+        )
+
+    def test_both_sides_at_the_bracket_edge(self):
+        # The second @example above: the uncoded BER at -60 dB is 0.49944.
+        result = ber_security_gap(CodeSpec(10, 0), BerThresholds(0.49995, 0.5))
+        assert result.bob_at_bracket_edge and result.eve_at_bracket_edge

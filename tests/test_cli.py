@@ -410,3 +410,25 @@ def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_queries_and_their_commands_leave_scipy_optimize_and_linalg_unloaded():
+    code = """
+import contextlib, io, sys
+import fblsec
+from fblsec.cli import main
+pair = fblsec.ConstraintPair(1e-6, 0.5)
+fblsec.security_gap(500, 1.0, pair)
+fblsec.ber_security_gap(fblsec.CodeSpec(127, 10), fblsec.BerThresholds(1e-5, 0.45))
+fblsec.min_blocklength(10.0, 1.0, pair)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["gap", "--n", "500", "--rate", "1.0"]) == 0
+    assert main(["minblock"]) == 0
+print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))
+"""
+    src = str(Path(fblsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

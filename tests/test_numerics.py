@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -6,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, error_probability
 from fblsec.numerics import (
     RngSeed,
     binomial_cdf,
+    brent_root,
     q_func,
     q_func_inv,
     sample_standard_normal,
@@ -169,6 +173,86 @@ class TestBinomialCdf:
             binomial_cdf(1, 5, 1.5)
         with pytest.raises(ValueError):
             binomial_cdf(1, 5, math.nan)
+
+
+def _monotone_function(rng: random.Random):
+    """One seeded monotone function on SNR_BRACKET_DB, of a randomly drawn family.
+
+    Roots fall inside the bracket, exactly on one of its ends, or (then
+    both ends have one sign) outside it.
+    """
+    lo, hi = SNR_BRACKET_DB
+    family = rng.choice(("linear", "flat", "steep", "saturating", "clipped", "exp", "step", "fb"))
+    root = rng.choice((lo, hi)) if rng.random() < 0.1 else rng.uniform(1.2 * lo, 1.2 * hi)
+    sign = rng.choice((-1.0, 1.0))
+    if family == "linear":
+        k = 10.0 ** rng.uniform(-6.0, 6.0)
+        return lambda x: sign * k * (x - root)
+    if family == "flat":
+        k = 10.0 ** rng.uniform(-12.0, 0.0)
+        return lambda x: sign * k * (x - root) ** 3
+    if family == "steep":
+        k = 10.0 ** rng.uniform(0.0, 3.0)
+        return lambda x: sign * math.tanh(k * (x - root))
+    if family == "saturating":
+        # Shaped like an error-probability residual: flat at both ends.
+        k, target = 10.0 ** rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-12.0, -0.5)
+        return lambda x: sign * (0.5 * math.erfc(k * (x - root)) - target)
+    if family == "clipped":
+        k = 10.0 ** rng.uniform(-2.0, 2.0)
+        return lambda x: sign * min(max(k * (x - root), -1.0), 1.0)
+    if family == "exp":
+        k = rng.uniform(1e-3, 5.0)
+        return lambda x: sign * math.expm1(k * (x - root))
+    if family == "step":
+        return lambda x: sign * math.copysign(1.0, x - root)
+    n, rate, target = rng.randint(1, 10**5), rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-12.0, -0.1)
+    return lambda x: error_probability(n, rate, db_to_linear(x)) - target
+
+
+def _solve(solver, f, a, b):
+    """The hex of the root, or the type of the exception raised."""
+    try:
+        return solver(f, a, b, xtol=1e-12).hex()
+    except (ValueError, RuntimeError) as error:
+        return type(error).__name__
+
+
+class TestBrentRoot:
+    def test_same_iterates_as_scipy(self):
+        rng = random.Random(20190620)
+        lo, hi = SNR_BRACKET_DB
+        outcomes = []
+        for _ in range(3000):
+            f = _monotone_function(rng)
+            calls = []
+
+            def logged(x, f=f):
+                calls.append(x)
+                return f(x)
+
+            ours = _solve(brent_root, logged, lo, hi)
+            ours_calls, calls[:] = list(calls), []
+            theirs = _solve(brentq, logged, lo, hi)
+            assert (ours, ours_calls) == (theirs, calls)
+            outcomes.append(ours)
+        roots = [o for o in outcomes if o != "ValueError"]
+        # Enough roots, exact ends included, and enough refused brackets.
+        assert len(roots) > 2000
+        assert lo.hex() in roots and hi.hex() in roots
+        assert len(outcomes) - len(roots) > 100
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(lambda x: x + 100.0, -60.0, 60.0, xtol=1e-12)
+
+    def test_iteration_cap_raises(self):
+        # A sign step at 1e-300 with no absolute tolerance needs ~1000 halvings.
+        step = lambda x: math.copysign(1.0, x - 1e-300)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brent_root(step, -60.0, 60.0, xtol=5e-324)
+        with pytest.raises(RuntimeError):
+            brentq(step, -60.0, 60.0, xtol=5e-324)
 
 
 class TestRandomStreams:

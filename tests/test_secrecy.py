@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from fblsec.secrecy import (
     rate_interval_batch,
     security_gap,
 )
+
+from oracles import exact_outcome, min_blocklength_search, security_gap_search
 
 CP = ConstraintPair(beta_b=1e-6, beta_e=0.5)
 GB = db_to_linear(10.0)
@@ -261,6 +264,93 @@ class TestMinBlocklengthAgainstScan:
                 None,
             )
             assert min_blocklength(gb, ge, cp, cfg, n_max=n_max) == scan
+
+
+#: beta_e below, at and above 0.5, and 1 (a rate floor of +inf).
+BETA_E = st.one_of(st.floats(1e-3, 0.4999), st.just(0.5), st.floats(0.5001, 0.999), st.just(1.0))
+LOG_BETA_B = st.floats(-12.0, -0.01).map(lambda e: 10.0**e)
+
+
+def _pair(beta_b, beta_e):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return ConstraintPair(beta_b, beta_e)
+
+
+class TestSearchesMatchStepwiseOracles:
+    """security_gap and min_blocklength, with their constants computed once per
+    search, against the searches that re-derive everything at every step."""
+
+    @given(
+        n=st.one_of(st.just(1), st.integers(1, 10**6)),
+        rate=st.floats(1e-3, 8.0),
+        beta_b=LOG_BETA_B,
+        beta_e=BETA_E,
+        log_term=st.booleans(),
+    )
+    @example(n=1, rate=0.5, beta_b=1e-6, beta_e=0.5, log_term=False)
+    @example(n=500, rate=1.0, beta_b=1e-6, beta_e=0.5, log_term=True)
+    @settings(max_examples=300, deadline=None)
+    def test_security_gap(self, n, rate, beta_b, beta_e, log_term):
+        args = (n, rate, _pair(beta_b, beta_e), ApproximationConfig(include_log_term=log_term))
+        assert exact_outcome(security_gap, *args) == exact_outcome(security_gap_search, *args)
+
+    @given(
+        snr_b_db=st.floats(-30.0, 40.0),
+        snr_e_db=st.floats(-30.0, 40.0),
+        beta_b=LOG_BETA_B,
+        beta_e=BETA_E,
+        log_term=st.booleans(),
+        n_max=st.one_of(st.just(1), st.integers(1, 10**7)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_min_blocklength(self, snr_b_db, snr_e_db, beta_b, beta_e, log_term, n_max):
+        args = (
+            db_to_linear(snr_b_db),
+            db_to_linear(snr_e_db),
+            _pair(beta_b, beta_e),
+            ApproximationConfig(include_log_term=log_term),
+            n_max,
+        )
+        assert exact_outcome(min_blocklength, *args) == exact_outcome(min_blocklength_search, *args)
+
+
+class TestMinBlocklengthChecksOnce:
+    def _warnings(self, gamma_b, constraints):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = min_blocklength(gamma_b, 1.0, constraints)
+        return result, [str(w.message) for w in caught]
+
+    def test_warns_once_per_call(self):
+        # Feasible from n = 10 on, so the search probes several n.
+        result, messages = self._warnings(10.0, _pair(1e-6, 0.7))
+        assert result == 10
+        assert len(messages) == 1 and messages[0].startswith("beta_e=0.7 > 0.5")
+
+    def test_beta_e_one_is_never_feasible(self):
+        result, messages = self._warnings(100.0, _pair(1e-3, 1.0))
+        assert result is None
+        assert len(messages) == 1 and messages[0].startswith("beta_e=1.0 > 0.5")
+
+    @pytest.mark.parametrize(
+        "gamma_b, gamma_e, constraints, n_max, message",
+        [
+            (0.0, GE, CP, 10, "SNR must be positive and finite, got 0.0"),
+            (GB, math.nan, CP, 10, "SNR must be positive and finite, got nan"),
+            (math.inf, GE, CP, 10, "SNR must be positive and finite, got inf"),
+            (GB, GE, CP, 0, "blocklength must be >= 1, got 0"),
+            # Pairs that skip ConstraintPair's own checks.
+            (GB, GE, SimpleNamespace(beta_b=1.5, beta_e=0.5), 10,
+             "target error probability must lie in (0, 1), got 1.5"),
+            (GB, GE, SimpleNamespace(beta_b=1e-3, beta_e=0.0), 10, "beta_e must lie in (0, 1], got 0.0"),
+            (GB, GE, SimpleNamespace(beta_b=1e-3, beta_e=1.5), 10, "beta_e must lie in (0, 1], got 1.5"),
+        ],
+    )
+    def test_validation_messages_unchanged(self, gamma_b, gamma_e, constraints, n_max, message):
+        args = (gamma_b, gamma_e, constraints, ApproximationConfig(), n_max)
+        assert exact_outcome(min_blocklength, *args) == ("ValueError", message)
+        assert exact_outcome(min_blocklength_search, *args) == ("ValueError", message)
 
 
 class TestRateIntervalBatch:

@@ -62,6 +62,8 @@ CASES = [
     _one("fig3", "--out", "f.csv", "--n-count", "5", "--svg", "f.svg"),
     _one("gap", "--n", "500", "--rate", "1.0"),
     _one("gap", "--n", "500", "--rate", "1.0", "--out", "g.csv"),
+    _one("gap", "--n", "1", "--rate", "0.5"),
+    _one("gap", "--n", "500", "--rate", "1.0", "--log-term", "true"),
     _one("interval", "--n", "500"),
     _one("interval", "--n", "300", "--snr-b-db", "3", "--snr-e-db", "3", "--out", "i.csv"),
     _one("interval", "--n", "500", "--beta-b", "0.6", "--beta-e", "0.7"),
@@ -94,6 +96,7 @@ CASES = [
     # error paths
     _one("gap", "--n", "500", "--rate", "99"),
     _one("minblock", "--snr-b-db", "0", "--snr-e-db", "10", "--n-max", "1000", "--out", "m.csv"),
+    _one("minblock", "--beta-e", "1.0"),
     _one("optimize-an", "--phi-grid", "0", "1.0", "--trials", "10"),
     _one("fig2", "--out", "f.csv", "--steps", "ten"),
     _one("cipc", "--no-such-flag"),
