@@ -27,7 +27,7 @@ import numpy as np
 from .channels import ReciprocityError, _check_antennas, apply_reciprocity_error, sample_rayleigh
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count
-from .secrecy import ConstraintPair, RateIntervals, SecrecyAssessment, rate_interval_batch
+from .secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_CHANNEL = 0
@@ -65,22 +65,6 @@ class CipcConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class SimRecord:
-    """Outcome of one trial; p_t is None when the trial was suspended."""
-
-    trial_id: int
-    p_t: float | None
-    rx_power_bob: float | None
-    gamma_b: float | None
-    gamma_e: float | None
-    assessment: SecrecyAssessment | None
-
-    @property
-    def suspended(self) -> bool:
-        return self.p_t is None
-
-
-@dataclass(frozen=True, slots=True)
 class CipcSummary:
     """Run statistics; the last three are over transmitted trials (nan if none)."""
 
@@ -104,23 +88,6 @@ class CipcResult:
     gamma_e: np.ndarray
     assessment: RateIntervals
     summary: CipcSummary
-
-    @property
-    def records(self) -> list[SimRecord]:
-        """One SimRecord per trial, built from the columns on each access."""
-        transmitted = map(
-            SimRecord,
-            np.flatnonzero(self.sent).tolist(),
-            self.p_t.tolist(),
-            self.rx_power_bob.tolist(),
-            self.gamma_b.tolist(),
-            self.gamma_e.tolist(),
-            self.assessment.assessments(),
-        )
-        return [
-            next(transmitted) if s else SimRecord(t, None, None, None, None, None)
-            for t, s in enumerate(self.sent.tolist())
-        ]
 
 
 def cipc_beamformer(h_d: np.ndarray) -> np.ndarray:

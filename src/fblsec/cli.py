@@ -721,7 +721,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fblsec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config",
                        help="key = value file supplying defaults (a manifest replays a run)")
         p.add_argument("--out", required=command.out_required, help="output CSV path")

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count, sample_standard_normal
-from .secrecy import ConstraintPair, RateIntervals, SecrecyAssessment, _ceilings, _floors
+from .secrecy import ConstraintPair, RateIntervals, _ceilings, _floors
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_BEARING = 0
@@ -84,15 +84,6 @@ class SinrPair(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True)
-class LobRecord:
-    trial_id: int
-    theta_hat: float
-    sinr_bob: float
-    sinr_eve: float
-    assessment: SecrecyAssessment
-
-
-@dataclass(frozen=True, slots=True)
 class LobSummary:
     trials: int
     mean_sinr_bob: float
@@ -110,20 +101,6 @@ class LobResult:
     sinr_eve: np.ndarray
     assessment: RateIntervals
     summary: LobSummary
-
-    @property
-    def records(self) -> list[LobRecord]:
-        """One LobRecord per trial, built from the columns on each access."""
-        return list(
-            map(
-                LobRecord,
-                range(len(self.theta_hat)),
-                self.theta_hat.tolist(),
-                self.sinr_bob.tolist(),
-                self.sinr_eve.tolist(),
-                self.assessment.assessments(),
-            )
-        )
 
 
 def lob_beamformer(theta_hat, n_antennas: int) -> np.ndarray:

@@ -167,7 +167,7 @@ class RngSeed:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < _U64:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= int(v) < _U64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def stream(self, stream_id: int) -> "RngSeed":

@@ -84,10 +84,6 @@ class RateIntervals(NamedTuple):
     feasible: np.ndarray
     r_sup_clamped: np.ndarray
 
-    def assessments(self) -> list[SecrecyAssessment]:
-        """One SecrecyAssessment per entry of 1-D columns, in order."""
-        return list(map(SecrecyAssessment, *(column.tolist() for column in self)))
-
 
 @dataclass(frozen=True, slots=True)
 class SecurityGap:

@@ -10,7 +10,8 @@ trial (not the package's array masks), and the three SNR and blocklength
 searches with every step re-deriving its whole value from checked public
 calls (or, for the post-decoding BER, from its own lgamma sum) and the
 roots taken from scipy.optimize.brentq (not from constants computed once
-per search and the package's Brent port).
+per search and the package's Brent port), and CIPC's run statistics in
+closed form from the Gamma law of the channel gain (not from draws).
 """
 
 import dataclasses
@@ -21,14 +22,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from fblsec import fb_coding
 from fblsec.ber import BerSecurityGap, bsc_crossover
 from fblsec.channels import steering_vector
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, linear_to_db
 from fblsec.numerics import UnsatisfiableError, q_func
-from fblsec.secrecy import SecrecyAssessment, SecurityGap, r_inf, rate_interval
+from fblsec.secrecy import SecrecyAssessment, SecurityGap, r_inf, r_sup, rate_interval
 
 
 def q_oracle(x: float) -> float:
@@ -78,6 +79,34 @@ def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
     a = steering_vector(theta_hat, n_antennas)
     # The trailing right-singular vectors of the 1 x N matrix a^H span its null space.
     return np.linalg.svd(a.conj()[np.newaxis, :])[2][1:].conj().T
+
+
+def cipc_closed_form(cfg) -> tuple[float, float, float]:
+    """(P(suspend), P(feasible | sent), E[gamma_e | sent]) of a CIPC run
+    without reciprocity error, for N >= 2 antennas.
+
+    With h_u = h_d Bob's SNR is fixed at Q / sigma_b^2. Eve's SNR is
+    Q X / (sigma_e^2 G) with X = |g^H w|^2 ~ Exp(1) independent of the
+    gain G = ||h_d||^2 ~ Gamma(N, 1), and a trial is sent iff G >= g0 =
+    Q / p_max. It is feasible iff gamma_e <= gamma*, the root of
+    r_inf(gamma*) = r_sup(Q / sigma_b^2), i.e. iff X <= s G with
+    s = gamma* sigma_e^2 / Q. Integrating 1 - exp(-s G) and 1 / G against
+    the Gamma density over G >= g0 gives the two conditional values.
+    """
+    assert cfg.reciprocity.sigma_delta == 0.0 and cfg.n_antennas_tx >= 2
+    n_ant, q = cfg.n_antennas_tx, cfg.q_target
+    n, cp, approx = cfg.blocklength, cfg.constraints, cfg.approx
+    ceiling = r_sup(n, cp.beta_b, q / cfg.noise_power_bob, approx)
+    gamma_star = db_to_linear(
+        brentq(lambda db: r_inf(n, cp.beta_e, db_to_linear(db), approx) - ceiling,
+               *SNR_BRACKET_DB, xtol=1e-12)
+    )
+    s = gamma_star * cfg.noise_power_eve / q
+    g0 = q / cfg.p_max
+    sent = gammaincc(n_ant, g0)
+    feasible = 1.0 - (1.0 + s) ** -n_ant * gammaincc(n_ant, g0 * (1.0 + s)) / sent
+    mean_gamma_e = q / cfg.noise_power_eve * gammaincc(n_ant - 1, g0) / (n_ant - 1) / sent
+    return 1.0 - sent, feasible, mean_gamma_e
 
 
 def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAssessment:

@@ -13,10 +13,15 @@ from fblsec.cipc import (
     optimize_q,
     run_cipc,
 )
+from fblsec.fb_coding import ApproximationConfig
 from fblsec.numerics import RngSeed
-from fblsec.secrecy import ConstraintPair, rate_interval
+from fblsec.secrecy import ConstraintPair, RateIntervals, rate_interval
+
+from oracles import cipc_closed_form
 
 CP = ConstraintPair(1e-6, 0.5)
+# Per-trial columns of a CipcResult besides its five assessment columns.
+COLUMNS = ("sent", "p_t", "rx_power_bob", "gamma_b", "gamma_e")
 
 
 def make_config(**overrides) -> CipcConfig:
@@ -75,12 +80,11 @@ class TestRunCipc:
     def test_constant_received_power(self):
         cfg = make_config(p_max=math.inf, trials=2000)
         result = run_cipc(cfg)
-        assert len(result.records) == 2000
-        for rec in result.records:
-            assert not rec.suspended
-            assert abs(rec.rx_power_bob - cfg.q_target) <= 1e-12 * cfg.q_target
-        gammas = [rec.gamma_b for rec in result.records]
-        spread = (max(gammas) - min(gammas)) / min(gammas)
+        assert len(result.sent) == 2000 and result.sent.all()
+        assert len(result.rx_power_bob) == 2000
+        assert np.all(np.abs(result.rx_power_bob - cfg.q_target) <= 1e-12 * cfg.q_target)
+        gammas = result.gamma_b
+        spread = (gammas.max() - gammas.min()) / gammas.min()
         assert spread < 1e-12  # constant Bob SNR up to fp rounding
 
     def test_received_power_identity_algebra(self):
@@ -98,26 +102,41 @@ class TestRunCipc:
         assert result.summary.suspension_prob == pytest.approx(
             1.0 - math.exp(-1.0), abs=0.02
         )
-        suspended = [r for r in result.records if r.suspended]
-        assert len(suspended) == round(result.summary.suspension_prob * cfg.trials)
-        assert all(r.p_t is None and r.assessment is None for r in suspended)
+        suspended = ~result.sent
+        assert suspended.sum() == round(result.summary.suspension_prob * cfg.trials)
+        # Suspended trials have no entry in any other column.
+        sent_count = cfg.trials - suspended.sum()
+        for column in (*(getattr(result, name) for name in COLUMNS[1:]), *result.assessment):
+            assert len(column) == sent_count
 
     def test_deterministic(self):
         cfg = make_config(reciprocity=ReciprocityError(0.1), trials=50)
         a = run_cipc(cfg)
         b = run_cipc(cfg)
-        assert a.records == b.records
+        for name in COLUMNS:
+            assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+        for name in RateIntervals._fields:
+            assert getattr(a.assessment, name).tolist() == getattr(b.assessment, name).tolist(), name
         assert a.summary == b.summary
 
     def test_trial_records_stable_under_extension(self):
-        short = run_cipc(make_config(trials=20)).records
-        long = run_cipc(make_config(trials=60)).records
-        assert long[:20] == short
+        # Eve and the reciprocity error draw only for transmitted trials, in
+        # trial order, so the first k transmitted trials of both runs agree.
+        short = run_cipc(make_config(trials=20))
+        long = run_cipc(make_config(trials=60))
+        assert long.sent[:20].tolist() == short.sent.tolist()
+        k = int(short.sent.sum())
+        for name in COLUMNS[1:]:
+            assert getattr(long, name)[:k].tolist() == getattr(short, name).tolist(), name
+        for name in RateIntervals._fields:
+            got = getattr(long.assessment, name)[:k].tolist()
+            assert got == getattr(short.assessment, name).tolist(), name
 
     def test_single_trial_reproducible_from_raw_streams(self):
         # Rebuild trial 0 by hand from row 0 of each role's keyed stream.
         cfg = make_config(trials=1, reciprocity=ReciprocityError(0.2))
-        rec = run_cipc(cfg).records[0]
+        result = run_cipc(cfg)
+        assert result.sent.tolist() == [True]
         base = cfg.seed.stream_id
         h_d = sample_rayleigh(cfg.n_antennas_tx, RngSeed(cfg.seed.master_seed, base))
         h_u = apply_reciprocity_error(
@@ -126,43 +145,48 @@ class TestRunCipc:
         g = sample_rayleigh(cfg.n_antennas_tx, RngSeed(cfg.seed.master_seed, base + 2))
         w = cipc_beamformer(h_d)
         p_t = cipc_power(h_d, cfg)
-        assert rec.p_t == p_t
+        assert result.p_t.tolist() == [p_t]
         # The run takes |.| over a whole column, which may differ from the
         # scalar abs in the last bit.
-        np.testing.assert_array_max_ulp(rec.rx_power_bob, p_t * abs(np.dot(h_u, w)) ** 2, 4)
+        np.testing.assert_array_max_ulp(result.rx_power_bob[0], p_t * abs(np.dot(h_u, w)) ** 2, 4)
         np.testing.assert_array_max_ulp(
-            rec.gamma_e, p_t * abs(np.vdot(g, w)) ** 2 / cfg.noise_power_eve, 4
+            result.gamma_e[0], p_t * abs(np.vdot(g, w)) ** 2 / cfg.noise_power_eve, 4
         )
-        assert rec.assessment == rate_interval(
-            cfg.blocklength, rec.gamma_b, rec.gamma_e, cfg.constraints
+        want = rate_interval(
+            cfg.blocklength, result.gamma_b.item(), result.gamma_e.item(), cfg.constraints
         )
+        for name in RateIntervals._fields:
+            assert getattr(result.assessment, name).tolist() == [getattr(want, name)], name
 
     def test_rx_power_varies_with_reciprocity_error(self):
         quiet = run_cipc(make_config(p_max=math.inf, trials=500))
         noisy = run_cipc(
             make_config(p_max=math.inf, trials=500, reciprocity=ReciprocityError(0.2))
         )
-        var_quiet = np.var([r.rx_power_bob for r in quiet.records])
-        var_noisy = np.var([r.rx_power_bob for r in noisy.records])
+        assert quiet.sent.all() and noisy.sent.all()
+        var_quiet = np.var(quiet.rx_power_bob)
+        var_noisy = np.var(noisy.rx_power_bob)
         assert var_quiet <= 1e-24
         assert var_noisy > 1e-4
 
     def test_eve_snr_invariant_to_bob_noise(self):
         a = run_cipc(make_config(noise_power_bob=0.01, trials=100))
         b = run_cipc(make_config(noise_power_bob=5.0, trials=100))
-        assert [r.gamma_e for r in a.records] == [r.gamma_e for r in b.records]
+        assert a.sent.tolist() == b.sent.tolist()
+        assert a.gamma_e.tolist() == b.gamma_e.tolist()
 
     def test_feasibility_conditional_on_transmission(self):
         cfg = make_config(n_antennas_tx=1, q_target=1.0, p_max=1.0, trials=3000)
         result = run_cipc(cfg)
-        active = [r for r in result.records if not r.suspended]
-        feasible = sum(r.assessment.feasible for r in active)
-        assert result.summary.feasibility_prob == pytest.approx(feasible / len(active))
+        active = int(result.sent.sum())
+        feasible = result.assessment.feasible
+        assert len(feasible) == active
+        assert result.summary.feasibility_prob == pytest.approx(feasible.sum() / active)
 
     def test_all_suspended_summary_is_nan_over_transmitted_trials(self):
         cfg = make_config(p_max=1e-9, trials=30)
         result = run_cipc(cfg)
-        assert all(rec.suspended for rec in result.records)
+        assert not result.sent.any() and len(result.p_t) == 0
         s = result.summary
         assert s.suspension_prob == 1.0
         assert math.isnan(s.feasibility_prob)
@@ -176,15 +200,15 @@ class TestRunCipc:
         cfg = make_config(
             n_antennas_tx=1, p_max=1.0, trials=40, reciprocity=ReciprocityError(0.2)
         )
-        records = run_cipc(cfg).records
-        sent = [r for r in records if not r.suspended]
-        assert 0 < len(sent) < len(records)
+        result = run_cipc(cfg)
+        sent = np.flatnonzero(result.sent)
+        assert 0 < len(sent) < cfg.trials
         h_d = sample_rayleigh(1, RngSeed(cfg.seed.master_seed, 0), size=cfg.trials)
         g = sample_rayleigh(1, RngSeed(cfg.seed.master_seed, 2), size=len(sent))
-        for rec, g_k in zip(sent, g):
-            w = cipc_beamformer(h_d[rec.trial_id])
-            expected = rec.p_t * abs(np.vdot(g_k, w)) ** 2 / cfg.noise_power_eve
-            np.testing.assert_array_max_ulp(rec.gamma_e, expected, 4)
+        for k, (t, g_k) in enumerate(zip(sent, g)):
+            w = cipc_beamformer(h_d[t])
+            expected = result.p_t[k] * abs(np.vdot(g_k, w)) ** 2 / cfg.noise_power_eve
+            np.testing.assert_array_max_ulp(result.gamma_e[k], expected, 4)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -205,17 +229,38 @@ class TestRunCipc:
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "beta_e=0.7" in str(caught[0].message)
 
-    def test_columns_match_records(self):
-        cfg = make_config(n_antennas_tx=1, p_max=1.0, trials=300, reciprocity=ReciprocityError(0.1))
+
+class TestClosedFormOracle:
+    """Monte Carlo statistics against oracles.cipc_closed_form.
+
+    4e5 trials at the fixed seed given with each case; every statistic
+    must lie within 4 standard errors of its closed form.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # N = 4, Q = 2.5, p_max = 1, sigma_b^2 = 2, sigma_e^2 = 1: about 24% suspended.
+            dict(n_antennas_tx=4, q_target=2.5, p_max=1.0, noise_power_bob=2.0,
+                 noise_power_eve=1.0, seed=RngSeed(11)),
+            # N = 2, beta_e < 0.5 and the log term on.
+            dict(n_antennas_tx=2, q_target=0.5, p_max=2.0, noise_power_bob=0.1,
+                 noise_power_eve=0.5, constraints=ConstraintPair(1e-5, 0.1),
+                 approx=ApproximationConfig(include_log_term=True), seed=RngSeed(12)),
+        ],
+    )
+    def test_matches_closed_form(self, overrides):
+        cfg = make_config(blocklength=500, trials=400_000, **overrides)
         result = run_cipc(cfg)
-        records = result.records
-        assert result.sent.tolist() == [not r.suspended for r in records]
-        sent = [r for r in records if not r.suspended]
-        assert 0 < len(sent) < len(records)
-        assert result.p_t.tolist() == [r.p_t for r in sent]
-        assert result.gamma_b.tolist() == [r.gamma_b for r in sent]
-        assert result.gamma_e.tolist() == [r.gamma_e for r in sent]
-        assert result.assessment.assessments() == [r.assessment for r in sent]
+        p_suspend, p_feasible, mean_gamma_e = cipc_closed_form(cfg)
+        sent = int(result.sent.sum())
+        s = result.summary
+        se_suspend = math.sqrt(p_suspend * (1.0 - p_suspend) / cfg.trials)
+        se_feasible = math.sqrt(p_feasible * (1.0 - p_feasible) / sent)
+        se_gamma_e = result.gamma_e.std() / math.sqrt(sent)
+        assert abs(s.suspension_prob - p_suspend) <= 4.0 * se_suspend
+        assert abs(s.feasibility_prob - p_feasible) <= 4.0 * se_feasible
+        assert abs(s.mean_gamma_e - mean_gamma_e) <= 4.0 * se_gamma_e
 
 
 class TestOptimizeQ:

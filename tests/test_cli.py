@@ -3,15 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import math
 
 import fblsec
 from fblsec import __version__, cli
-from fblsec.cipc import CipcResult, run_cipc
+from fblsec.cipc import run_cipc
 from fblsec.cli import _COMMANDS, main
-from fblsec.lob import LobResult, run_lob
+from fblsec.lob import run_lob
 from fblsec.fb_coding import capacity, db_to_linear
 
 
@@ -249,6 +250,24 @@ class TestErrorPaths:
         missing_dir = tmp_path / "not" / "there" / "f.csv"
         assert main(["fig2", "--out", str(missing_dir)]) == 4
 
+    @pytest.mark.parametrize(
+        "flags", [["--conf", "a.csv.manifest"], ["--c", "a.csv.manifest"], ["--conf=a.csv.manifest"]]
+    )
+    def test_abbreviated_config_refused(self, flags, tmp_path, capsys, monkeypatch):
+        # An abbreviation would be parsed as --config but never read, so the
+        # run would silently use the defaults instead of the manifest.
+        monkeypatch.chdir(tmp_path)
+        assert main(["cipc", "--trials", "30", "--seed", "7", "--out", "a.csv"]) == 0
+        capsys.readouterr()
+        assert main(["cipc", *flags, "--out", "b.csv"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.csv.manifest"]
+
+    def test_abbreviated_flag_refused(self, tmp_path, capsys):
+        assert main(["cipc", "--tri", "5", "--out", str(tmp_path / "c.csv")]) == 2
+        assert "unrecognized arguments: --tri" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_parse_error_with_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("# fine\nnot a pair\n")
@@ -277,26 +296,32 @@ def _db(x):
     return _sci(10.0 * math.log10(x)) if x > 0.0 else "-inf"
 
 
-def _assessment(a):
-    return [_sci(a.r_sup), _sci(a.r_inf), _sci(a.delta_r), "true" if a.feasible else "false"]
+def _assessment(a, k):
+    return [_sci(a.r_sup[k]), _sci(a.r_inf[k]), _sci(a.delta_r[k]), "true" if a.feasible[k] else "false"]
 
 
-def _cipc_line(rec):
-    if rec.suspended:
-        return f"{rec.trial_id},suspended,,,,,,false"
-    return ",".join(
-        [str(rec.trial_id), _sci(rec.p_t), _db(rec.gamma_b), _db(rec.gamma_e), *_assessment(rec.assessment)]
-    )
+def _cipc_lines(result):
+    lines = [f"{t},suspended,,,,,,false" for t in range(len(result.sent))]
+    for k, t in enumerate(np.flatnonzero(result.sent).tolist()):
+        lines[t] = ",".join(
+            [str(t), _sci(result.p_t[k]), _db(result.gamma_b[k]), _db(result.gamma_e[k]),
+             *_assessment(result.assessment, k)]
+        )
+    return lines
 
 
-def _lob_line(rec):
-    return ",".join(
-        [str(rec.trial_id), _sci(rec.theta_hat), _db(rec.sinr_bob), _db(rec.sinr_eve), *_assessment(rec.assessment)]
-    )
+def _lob_lines(result):
+    return [
+        ",".join(
+            [str(t), _sci(result.theta_hat[t]), _db(result.sinr_bob[t]), _db(result.sinr_eve[t]),
+             *_assessment(result.assessment, t)]
+        )
+        for t in range(len(result.theta_hat))
+    ]
 
 
 class TestSimulatorCsvFromColumns:
-    """Block-formatted CSVs against one f-string per cell of the records."""
+    """Block-formatted CSVs against one f-string per cell of the columns."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -313,8 +338,8 @@ class TestSimulatorCsvFromColumns:
         out = tmp_path / "c.csv"
         assert main([*argv, "--out", str(out)]) == 0
         args = cli._build_parser().parse_args(argv)
-        records = run_cipc(cli._cipc_config(args, args.q_target)).records
-        assert read(out).decode().splitlines()[1:] == [_cipc_line(rec) for rec in records]
+        result = run_cipc(cli._cipc_config(args, args.q_target))
+        assert read(out).decode().splitlines()[1:] == _cipc_lines(result)
 
     @pytest.mark.parametrize(
         "argv",
@@ -327,17 +352,8 @@ class TestSimulatorCsvFromColumns:
         out = tmp_path / "l.csv"
         assert main([*argv, "--out", str(out)]) == 0
         args = cli._build_parser().parse_args(argv)
-        records = run_lob(cli._lob_config(args, args.an_fraction)).records
-        assert read(out).decode().splitlines()[1:] == [_lob_line(rec) for rec in records]
-
-    @pytest.mark.parametrize("command", ["cipc", "lob"])
-    def test_cli_never_builds_records(self, command, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("records built")
-
-        for result_type in (CipcResult, LobResult):
-            monkeypatch.setattr(result_type, "records", property(refuse))
-        assert main([command, "--trials", "50", "--out", str(tmp_path / "x.csv")]) == 0
+        result = run_lob(cli._lob_config(args, args.an_fraction))
+        assert read(out).decode().splitlines()[1:] == _lob_lines(result)
 
 
 def test_parser_is_built_once_per_process(tmp_path):

@@ -17,11 +17,13 @@ from fblsec.lob import (
 )
 from fblsec.numerics import RngSeed
 from fblsec.fb_coding import ApproximationConfig
-from fblsec.secrecy import ConstraintPair
+from fblsec.secrecy import ConstraintPair, RateIntervals
 
 from oracles import an_basis, assess_sinr_pair
 
 CP = ConstraintPair(1e-6, 0.5)
+# Per-trial columns of a LobResult besides its five assessment columns.
+COLUMNS = ("theta_hat", "sinr_bob", "sinr_eve")
 
 
 def make_config(**overrides) -> LobConfig:
@@ -145,8 +147,8 @@ class TestRunLob:
         cfg = make_config(k_factor_bob=math.inf, an_fraction=0.0, trials=50)
         result = run_lob(cfg)
         expected = cfg.total_power * cfg.n_antennas / cfg.noise_power_bob
-        for rec in result.records:
-            assert rec.sinr_bob == pytest.approx(expected, rel=1e-12)
+        assert len(result.sinr_bob) == cfg.trials
+        assert result.sinr_bob == pytest.approx(np.full(cfg.trials, expected), rel=1e-12)
 
     def test_colocated_pure_los_eve_scales_by_noise(self):
         cfg = make_config(
@@ -158,8 +160,8 @@ class TestRunLob:
             trials=20,
         )
         result = run_lob(cfg)
-        for rec in result.records:
-            assert rec.sinr_eve == pytest.approx(rec.sinr_bob * 0.02 / 0.08, rel=1e-12)
+        assert len(result.sinr_eve) == cfg.trials
+        assert result.sinr_eve == pytest.approx(result.sinr_bob * 0.02 / 0.08, rel=1e-12)
 
     def test_colocated_equal_noise_never_feasible(self):
         cfg = make_config(
@@ -177,10 +179,11 @@ class TestRunLob:
         cfg = make_config(an_fraction=1.0, trials=30)
         result = run_lob(cfg)
         assert result.summary.feasibility_prob == 0.0
-        for rec in result.records:
-            assert rec.sinr_bob == 0.0
-            assert rec.assessment.r_sup == 0.0 and rec.assessment.r_sup_clamped
-            assert not rec.assessment.feasible
+        a = result.assessment
+        assert len(result.sinr_bob) == len(a.r_sup) == cfg.trials
+        assert (result.sinr_bob == 0.0).all()
+        assert (a.r_sup == 0.0).all() and a.r_sup_clamped.all()
+        assert not a.feasible.any()
 
     def test_mean_eve_sinr_strictly_decreasing_in_phi(self):
         cfg = make_config(trials=1500)
@@ -203,9 +206,14 @@ class TestRunLob:
         cfg = make_config(trials=30, location_error_std=math.radians(3.0))
         a = run_lob(cfg)
         b = run_lob(cfg)
-        assert a.records == b.records
         longer = run_lob(replace(cfg, trials=60))
-        assert longer.records[:30] == a.records
+        for name in COLUMNS:
+            assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+            assert getattr(longer, name)[:30].tolist() == getattr(a, name).tolist(), name
+        for name in RateIntervals._fields:
+            want = getattr(a.assessment, name).tolist()
+            assert getattr(b.assessment, name).tolist() == want, name
+            assert getattr(longer.assessment, name)[:30].tolist() == want, name
 
     def test_power_accounting(self):
         # Info + AN shares sum to the total power exactly for any phi.
@@ -219,7 +227,7 @@ class TestRunLob:
     def test_single_trial_reproducible_from_raw_streams(self, t):
         # Rebuild trial t by hand from row t of each role's keyed stream.
         cfg = make_config(trials=5, location_error_std=math.radians(4.0), seed=RngSeed(77, 9))
-        rec = run_lob(cfg).records[t]
+        result = run_lob(cfg)
         master, base = cfg.seed.master_seed, cfg.seed.stream_id
         err = RngSeed(master, base).generator().standard_normal(t + 1)[t]
         theta_hat = cfg.theta_bob + cfg.location_error_std * err
@@ -227,17 +235,18 @@ class TestRunLob:
         spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
         h_bob = sample_rician(spec_bob, RngSeed(master, base + 1), size=t + 1)[t]
         h_eve = sample_rician(spec_eve, RngSeed(master, base + 2), size=t + 1)[t]
-        assert rec.theta_hat == theta_hat
+        assert result.theta_hat[t] == theta_hat
         sinr_bob, sinr_eve = sinr_pair(h_bob, h_eve, cfg, theta_hat)
-        np.testing.assert_array_max_ulp(rec.sinr_bob, sinr_bob, 4)
-        np.testing.assert_array_max_ulp(rec.sinr_eve, sinr_eve, 4)
+        np.testing.assert_array_max_ulp(result.sinr_bob[t], sinr_bob, 4)
+        np.testing.assert_array_max_ulp(result.sinr_eve[t], sinr_eve, 4)
 
     def test_bearing_clamped_inside_steering_domain(self):
         cfg = make_config(
             theta_bob=1.4, location_error_std=5.0, trials=200, an_fraction=0.2
         )
         result = run_lob(cfg)  # extreme error draws must not blow up
-        assert all(abs(rec.theta_hat) < math.pi / 2 for rec in result.records)
+        assert len(result.theta_hat) == cfg.trials
+        assert (np.abs(result.theta_hat) < math.pi / 2).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -284,7 +293,8 @@ class TestZeroSinrMasks:
                 assess_sinr_pair(100, b, e, cp, approx)
                 for b, e in zip(self.SINR_BOB, self.SINR_EVE)
             ]
-        assert got.assessments() == want
+        for name in RateIntervals._fields:
+            assert getattr(got, name).tolist() == [getattr(a, name) for a in want], name
         assert np.signbit(got.delta_r).tolist() == [
             math.copysign(1.0, a.delta_r) < 0.0 for a in want
         ]

@@ -287,6 +287,14 @@ class TestRandomStreams:
         with pytest.raises(ValueError):
             RngSeed(1, -3)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_seed_rejects_bool(self, flag):
+        # bool is an int subclass: RngSeed(True) would draw RngSeed(1)'s stream.
+        with pytest.raises(ValueError, match="master_seed must be an unsigned 64-bit integer"):
+            RngSeed(flag)
+        with pytest.raises(ValueError, match="stream_id must be an unsigned 64-bit integer"):
+            RngSeed(1, flag)
+
     def test_stream_helper(self):
         seed = RngSeed(5, 0)
         assert seed.stream(9) == RngSeed(5, 9)

@@ -17,6 +17,7 @@ from fblsec.fb_coding import (
 from fblsec.numerics import UnsatisfiableError, q_func_inv
 from fblsec.secrecy import (
     ConstraintPair,
+    RateIntervals,
     asymptotic_secrecy_capacity,
     min_blocklength,
     r_inf,
@@ -391,7 +392,8 @@ class TestRateIntervalBatch:
         ]
         # The kernel takes the scalar path's float operations in the same
         # order, so it is in fact bit-identical; the CLI's CSVs rely on that.
-        assert batch.assessments() == scalar
+        for name in RateIntervals._fields:
+            assert getattr(batch, name).tolist() == [getattr(a, name) for a in scalar], name
         assert np.signbit(batch.delta_r).tolist() == [math.copysign(1.0, a.delta_r) < 0 for a in scalar]
 
     def test_clamped_ceiling_and_infinite_floor(self):

@@ -134,6 +134,10 @@ CASES = [
     _one("fig2", "--out", "o.csv", "--config", "bad.cfg"),
     _one("fig2", "--config", "c.cfg", "--steps", "4", "--out", "o.csv"),
     _one("fig2", "--config", "missing.cfg", "--out", "o.csv"),
+    # abbreviated flags are refused, so a config is never silently dropped
+    [["cipc", "--trials", "30", "--seed", "7", "--out", "a.csv"],
+     ["cipc", "--conf", "a.csv.manifest", "--out", "b.csv"]],
+    _one("lob", "--conf=missing.cfg", "--out", "o.csv"),
     _one("-h"),
 ] + [_one(name, "-h") for name in COMMANDS]
 
