@@ -36,7 +36,6 @@ from .cipc import (
 )
 from .fb_coding import (
     ApproximationConfig,
-    FbPoint,
     RateBound,
     capacity,
     db_to_linear,
@@ -50,11 +49,9 @@ from .lob import (
     LobConfig,
     LobResult,
     LobSummary,
-    SinrPair,
     lob_beamformer,
     optimize_an_fraction,
     run_lob,
-    sinr_pair,
 )
 from .numerics import (
     RngSeed,
@@ -62,15 +59,12 @@ from .numerics import (
     binomial_cdf,
     q_func,
     q_func_inv,
-    sample_standard_normal,
-    sample_uniform,
 )
 from .secrecy import (
     ConstraintPair,
     RateIntervals,
     SecrecyAssessment,
     SecurityGap,
-    asymptotic_secrecy_capacity,
     min_blocklength,
     r_inf,
     r_sup,
@@ -91,7 +85,6 @@ __all__ = [
     "CipcSummary",
     "CodeSpec",
     "ConstraintPair",
-    "FbPoint",
     "LobConfig",
     "LobResult",
     "LobSummary",
@@ -103,10 +96,8 @@ __all__ = [
     "RngSeed",
     "SecrecyAssessment",
     "SecurityGap",
-    "SinrPair",
     "UnsatisfiableError",
     "apply_reciprocity_error",
-    "asymptotic_secrecy_capacity",
     "be_cdf",
     "ber_security_gap",
     "binomial_cdf",
@@ -135,10 +126,7 @@ __all__ = [
     "run_lob",
     "sample_rayleigh",
     "sample_rician",
-    "sample_standard_normal",
-    "sample_uniform",
     "security_gap",
-    "sinr_pair",
     "steering_vector",
     "__version__",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -102,22 +101,18 @@ def cipc_beamformer(h_d: np.ndarray) -> np.ndarray:
     return h_d.conj() / np.sqrt(gain)[..., np.newaxis]
 
 
-def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> float | np.ndarray | None:
+def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> np.ndarray:
     """Inverted transmit power Q/||h||^2 for the channel the transmitter knows.
 
-    Returns None when the required power exceeds p_max (truncated
-    inversion, trial suspended). A (trials, N) batch gives one power per
-    row, nan on the suspended rows.
+    nan where the required power exceeds p_max (truncated inversion,
+    trial suspended). A (trials, N) batch gives one power per row.
     """
     h_known = np.asarray(h_known)
     gain = np.vecdot(h_known, h_known).real
     if np.any(gain == 0.0):
         raise ValueError("degenerate channel: zero gain cannot be inverted")
     p_t = cfg.q_target / gain
-    p_t = np.where(p_t > cfg.p_max, np.nan, p_t)
-    if p_t.ndim:
-        return p_t
-    return None if math.isnan(p_t) else float(p_t)
+    return np.where(p_t > cfg.p_max, np.nan, p_t)
 
 
 def run_cipc(cfg: CipcConfig) -> CipcResult:
@@ -163,7 +158,7 @@ def run_cipc(cfg: CipcConfig) -> CipcResult:
     return CipcResult(sent, p_t, rx_bob, gamma_b, gamma_e, a, summary)
 
 
-def default_q_objective(summary: CipcSummary) -> float:
+def _q_objective(summary: CipcSummary) -> float:
     """Probability of a transmitted and feasible trial."""
     if summary.suspension_prob == 1.0:
         return 0.0  # nothing transmitted, so feasibility_prob is nan
@@ -177,16 +172,13 @@ class QOptimum:
     objective_curve: list[tuple[float, float]]
 
 
-def optimize_q(
-    cfg: CipcConfig,
-    q_grid,
-    objective: Callable[[CipcSummary], float] = default_q_objective,
-) -> QOptimum:
+def optimize_q(cfg: CipcConfig, q_grid) -> QOptimum:
     """Grid search of the received-power constant under common random numbers.
 
-    Every grid point reruns the simulation from the same seed, so the
-    channel realizations are shared and the objective differences come
-    from Q alone. Ties go to the smaller Q.
+    Maximizes the probability of a transmitted and feasible trial. Every
+    grid point reruns the simulation from the same seed, so the channel
+    realizations are shared and the objective differences come from Q
+    alone. Ties go to the smaller Q.
     """
     q_values = [float(q) for q in q_grid]
     if not q_values:
@@ -194,6 +186,6 @@ def optimize_q(
     curve: list[tuple[float, float]] = []
     for q in q_values:
         result = run_cipc(replace(cfg, q_target=q))
-        curve.append((q, objective(result.summary)))
+        curve.append((q, _q_objective(result.summary)))
     q_star = max(curve, key=lambda pair: (pair[1], -pair[0]))[0]
     return QOptimum(q_star=q_star, objective_curve=curve)

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, fb_coding
 from .channels import ReciprocityError
 from .cipc import CipcConfig, optimize_q, run_cipc
-from .fb_coding import ApproximationConfig, FbPoint, db_to_linear, linear_to_db
+from .fb_coding import ApproximationConfig, db_to_linear, linear_to_db
 from .lob import LobConfig, optimize_an_fraction, run_lob
 from .numerics import RngSeed, UnsatisfiableError
 from .secrecy import ConstraintPair, min_blocklength, rate_interval, security_gap
@@ -96,8 +96,31 @@ def _config_to_flags(path: str, command: str) -> list[str]:
     return flags
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numbers(command: str, tokens: list[str]) -> list[str]:
+    """Join ``--flag VALUE`` into ``--flag=VALUE`` for a one-value flag of the
+    command and a numeric VALUE: argparse takes -1e1 or -inf for an option."""
+    flags = _COMMANDS[command].flags if command in _COMMANDS else ()
+    one_value = {flag for flag, kwargs in flags if "nargs" not in kwargs}
+    joined: list[str] = []
+    for tok in tokens:
+        if joined and joined[-1] in one_value and _is_number(tok):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return joined
+
+
 def _expand_config(argv: list[str]) -> list[str]:
-    """Inject config-file entries as flags ahead of the explicit ones."""
+    """Inject config-file entries as flags ahead of the explicit ones, and
+    join the numeric values of both (see _join_numbers)."""
     if not argv or argv[0].startswith("-"):
         return argv
     command, rest = argv[0], argv[1:]
@@ -116,7 +139,7 @@ def _expand_config(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for path in paths:
         injected.extend(_config_to_flags(path, command))
-    return [command] + injected + rest
+    return [command] + _join_numbers(command, injected + rest)
 
 
 # ----------------------------------------------------------------------
@@ -417,14 +440,14 @@ def _fig2(args) -> _Report:
     cfg = _approx(args)
     rates = np.linspace(rate_min, rate_max, args.steps)
     points = [
-        FbPoint(n, float(r), fb_coding.error_probability(n, float(r), gamma, cfg))
+        (n, float(r), fb_coding.error_probability(n, float(r), gamma, cfg))
         for n in args.n_list
         for r in rates
     ]
 
     def draw(ax):
         for n in args.n_list:
-            curve = [p.epsilon for p in points if p.n == n]
+            curve = [eps for m, _, eps in points if m == n]
             ax.semilogy(rates, curve, label=f"n = {n}")
         ax.set_xlabel("coding rate [bits/channel use]")
         ax.set_ylabel("error probability")
@@ -433,7 +456,7 @@ def _fig2(args) -> _Report:
 
     return _Report(
         header=["n", "rate", "epsilon"],
-        rows=_lines((str(p.n), _sci(p.rate), _sci(p.epsilon)) for p in points),
+        rows=_lines((str(n), _sci(rate), _sci(eps)) for n, rate, eps in points),
         overrides={"rate_min": rate_min, "rate_max": rate_max},
         draw=draw,
     )

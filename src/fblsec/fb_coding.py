@@ -42,15 +42,6 @@ DEFAULT_APPROXIMATION = ApproximationConfig()
 
 
 @dataclass(frozen=True, slots=True)
-class FbPoint:
-    """One (blocklength, rate, error probability) sample of a sweep."""
-
-    n: int
-    rate: float
-    epsilon: float
-
-
-@dataclass(frozen=True, slots=True)
 class RateBound:
     """A rate solved from an error-probability target.
 
@@ -109,9 +100,19 @@ def _log_term(n: int, cfg: ApproximationConfig) -> float:
     return math.log2(n) / (2.0 * n) if cfg.include_log_term else 0.0
 
 
+def _cv(gamma: float) -> tuple[float, float]:
+    """Capacity and dispersion (C, V) of an SNR the caller has checked.
+
+    The one scalar copy of both formulas; _rate_bound_batch repeats them
+    over arrays with the same libm calls.
+    """
+    one_plus = 1.0 + gamma
+    return math.log2(one_plus), (1.0 - one_plus**-2) * DISPERSION_LIMIT
+
+
 def _rate_bound(n: int, eps: float, gamma: float, cfg: ApproximationConfig) -> float:
     """Unclamped rate bound C - sqrt(V/n) * Qinv(eps) + delta; callers validate."""
-    return _rate_from(n, capacity(gamma), dispersion(gamma), q_func_inv(eps), _log_term(n, cfg))
+    return _rate_from(n, *_cv(gamma), q_func_inv(eps), _log_term(n, cfg))
 
 
 def _rate_from(n: int, cap: float, disp: float, q_inv: float, log_term: float) -> float:
@@ -135,7 +136,7 @@ def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, cfg: ApproximationC
 
 def capacity(gamma: float) -> float:
     """AWGN capacity log2(1 + gamma) in bits per channel use."""
-    return math.log2(1.0 + _check_snr(gamma))
+    return _cv(_check_snr(gamma))[0]
 
 
 def dispersion(gamma: float) -> float:
@@ -143,8 +144,7 @@ def dispersion(gamma: float) -> float:
 
     Strictly increasing in gamma, with range (0, (log2 e)^2).
     """
-    gamma = _check_snr(gamma)
-    return (1.0 - (1.0 + gamma) ** -2) * DISPERSION_LIMIT
+    return _cv(_check_snr(gamma))[1]
 
 
 def error_probability(
@@ -166,12 +166,11 @@ def error_probability(
 def _error_probability(n: int, rate: float, gamma: float, log_term: float) -> float:
     """error_probability of checked n, rate and gamma, given delta.
 
-    dispersion and capacity are inlined without their SNR checks, so a
-    root-find over gamma checks nothing per step.
+    C and V come from the unchecked _cv, so a root-find over gamma checks
+    nothing per step.
     """
-    v = (1.0 - (1.0 + gamma) ** -2) * DISPERSION_LIMIT
-    arg = math.sqrt(n / v) * (math.log2(1.0 + gamma) - rate + log_term)
-    return q_func(arg)
+    cap, disp = _cv(gamma)
+    return q_func(math.sqrt(n / disp) * (cap - rate + log_term))
 
 
 def max_rate(

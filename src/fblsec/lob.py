@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
-from .numerics import RngSeed, _as_count, sample_standard_normal
+from .numerics import RngSeed, _as_count
 from .secrecy import ConstraintPair, RateIntervals, _ceilings, _floors
 
 # Keyed stream of each random role: stream id base + role.
@@ -78,11 +77,6 @@ class LobConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-class SinrPair(NamedTuple):
-    sinr_bob: float
-    sinr_eve: float
-
-
 @dataclass(frozen=True, slots=True)
 class LobSummary:
     trials: int
@@ -123,32 +117,16 @@ def _an_leakage(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _sinr(h: np.ndarray, w: np.ndarray, cfg: LobConfig, noise_power: float) -> np.ndarray:
-    """SINR of a receiver with channel h under beam w, along the last axis."""
+    """SINR of a receiver with channel h under beam w, along the last axis.
+
+    Signal power is (1-phi) P |h^H w|^2; artificial noise adds
+    (phi P / (N-1)) ||h^H V||^2 on top of thermal noise.
+    """
     info_power = (1.0 - cfg.an_fraction) * cfg.total_power
     an_power = cfg.an_fraction * cfg.total_power
     signal = info_power * np.abs(np.vecdot(h, w)) ** 2
     an = an_power / (cfg.n_antennas - 1) * _an_leakage(h, w)
     return signal / (an + noise_power)
-
-
-def sinr_pair(
-    h_bob: np.ndarray,
-    h_eve: np.ndarray,
-    cfg: LobConfig,
-    theta_hat: float | None = None,
-) -> SinrPair:
-    """SINRs seen by Bob and Eve for given channel realizations.
-
-    Signal power at receiver x is (1-phi) P |h_x^H w|^2; artificial noise
-    adds (phi P / (N-1)) ||h_x^H V||^2 on top of thermal noise. theta_hat
-    defaults to Bob's true bearing (perfect location knowledge).
-    """
-    theta = cfg.theta_bob if theta_hat is None else float(theta_hat)
-    w = lob_beamformer(theta, cfg.n_antennas)
-    return SinrPair(
-        float(_sinr(np.asarray(h_bob), w, cfg, cfg.noise_power_bob)),
-        float(_sinr(np.asarray(h_eve), w, cfg, cfg.noise_power_eve)),
-    )
 
 
 def _rate_intervals(
@@ -188,7 +166,7 @@ def run_lob(cfg: LobConfig) -> LobResult:
     base = cfg.seed.stream_id
     theta_hat = np.full(cfg.trials, cfg.theta_bob, dtype=float)
     if cfg.location_error_std > 0.0:
-        err = sample_standard_normal(cfg.seed.stream(base + _ROLE_BEARING), cfg.trials)
+        err = cfg.seed.stream(base + _ROLE_BEARING).generator().standard_normal(cfg.trials)
         theta_hat = np.clip(
             theta_hat + cfg.location_error_std * err, -_ANGLE_LIMIT, _ANGLE_LIMIT
         )

@@ -184,19 +184,3 @@ def _as_rng(seed: "RngSeed | np.random.Generator") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return seed.generator()
-
-
-def sample_standard_normal(seed: RngSeed, count: int) -> np.ndarray:
-    """`count` i.i.d. standard normal draws from the given substream."""
-    count = _as_count(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    return _as_rng(seed).standard_normal(count)
-
-
-def sample_uniform(seed: RngSeed, count: int) -> np.ndarray:
-    """`count` i.i.d. uniform [0, 1) draws from the given substream."""
-    count = _as_count(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    return _as_rng(seed).random(count)

@@ -212,11 +212,6 @@ def rate_interval_batch(
     return RateIntervals(r_sup, floor, delta, delta >= 0.0, clamped)
 
 
-def asymptotic_secrecy_capacity(gamma_b: float, gamma_e: float) -> float:
-    """Large-n reference value max(0, C_b - C_e); not a short-packet metric."""
-    return max(0.0, fb_coding.capacity(gamma_b) - fb_coding.capacity(gamma_e))
-
-
 def _solve_snr_for_error_prob(
     n: int,
     rate: float,
@@ -246,10 +241,6 @@ def _solve_snr_for_error_prob(
             f"{side}: error probability stays above {target} even at the "
             f"{hi_db} dB end of the search bracket"
         )
-    if res_lo == 0.0:
-        return db_to_linear(lo_db)
-    if res_hi == 0.0:
-        return db_to_linear(hi_db)
     return db_to_linear(brent_root(residual, lo_db, hi_db, xtol=1e-12))
 
 
@@ -306,8 +297,8 @@ def min_blocklength(
         return 1
     if n_max == 1 or constraints.beta_e == 1.0:
         return None  # at beta_e = 1 the rate floor is +inf for every n
-    cap_b, disp_b = fb_coding.capacity(gamma_b), fb_coding.dispersion(gamma_b)
-    cap_e, disp_e = fb_coding.capacity(gamma_e), fb_coding.dispersion(gamma_e)
+    cap_b, disp_b = fb_coding._cv(float(gamma_b))
+    cap_e, disp_e = fb_coding._cv(float(gamma_e))
     q_b, q_e = q_func_inv(constraints.beta_b), q_func_inv(constraints.beta_e)
 
     def feasible(n: int) -> bool:

@@ -288,6 +288,43 @@ class TestErrorPaths:
         assert len(body) == 4  # explicit flag beats the file
 
 
+class TestNegativeValues:
+    """argparse takes a token such as -1e1 or -inf for an option, not a value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interval", "--n", "500", "--snr-e-db=-0.00001"],
+            ["lob", "--trials", "20", "--theta-eve-deg=-1e-5"],
+        ],
+    )
+    def test_manifest_with_exponent_form_replays(self, argv, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--out", str(a)]) == 0
+        assert "= -1e-05\n" in (tmp_path / "a.csv.manifest").read_text()
+        assert main([argv[0], "--config", str(a) + ".manifest", "--out", str(b)]) == 0
+        assert read(a) == read(b)
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["interval", "--n", "500"], "--snr-e-db", "-1e1"),
+            (["lob", "--trials", "20"], "--theta-eve-deg", "-1e-5"),
+        ],
+    )
+    def test_separate_token_equals_joined(self, argv, flag, value, capsys):
+        def stdout(*flags):
+            assert main([*argv, *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line for line in lines if not line.startswith("timestamp = ")]
+
+        assert stdout(flag, value) == stdout(f"{flag}={value}")
+
+    def test_negative_infinity_reaches_validation(self, capsys):
+        assert main(["cipc", "--trials", "3", "--p-max", "-inf"]) == 2
+        assert "p_max must be positive" in capsys.readouterr().err
+
+
 def _sci(x):
     return f"{x:.12e}"
 

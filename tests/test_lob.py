@@ -10,10 +10,10 @@ from fblsec.lob import (
     LobConfig,
     _an_leakage,
     _rate_intervals,
+    _sinr,
     lob_beamformer,
     optimize_an_fraction,
     run_lob,
-    sinr_pair,
 )
 from fblsec.numerics import RngSeed
 from fblsec.fb_coding import ApproximationConfig
@@ -24,6 +24,24 @@ from oracles import an_basis, assess_sinr_pair
 CP = ConstraintPair(1e-6, 0.5)
 # Per-trial columns of a LobResult besides its five assessment columns.
 COLUMNS = ("theta_hat", "sinr_bob", "sinr_eve")
+
+
+def _sinr_pair(
+    h_bob: np.ndarray,
+    h_eve: np.ndarray,
+    cfg: LobConfig,
+    theta_hat: float | None = None,
+) -> tuple[float, float]:
+    """SINRs seen by Bob and Eve for given channel realizations.
+
+    theta_hat defaults to Bob's true bearing (perfect location knowledge).
+    """
+    theta = cfg.theta_bob if theta_hat is None else float(theta_hat)
+    w = lob_beamformer(theta, cfg.n_antennas)
+    return (
+        float(_sinr(np.asarray(h_bob), w, cfg, cfg.noise_power_bob)),
+        float(_sinr(np.asarray(h_eve), w, cfg, cfg.noise_power_eve)),
+    )
 
 
 def make_config(**overrides) -> LobConfig:
@@ -99,7 +117,7 @@ class TestSinrPair:
             RicianSpec(1.0, cfg.theta_eve, cfg.n_antennas), RngSeed(9, 0)
         )
         for phi in (0.0, 0.3, 0.7):
-            sinr_bob, _ = sinr_pair(h_bob, h_eve, replace(cfg, an_fraction=phi))
+            sinr_bob, _ = _sinr_pair(h_bob, h_eve, replace(cfg, an_fraction=phi))
             expected = (1.0 - phi) * cfg.total_power * cfg.n_antennas / cfg.noise_power_bob
             assert sinr_bob == pytest.approx(expected, rel=1e-12)
 
@@ -108,7 +126,7 @@ class TestSinrPair:
         h_bob = sample_rician(RicianSpec(2.0, 0.0, 4), RngSeed(9, 1))
         h_eve = sample_rician(RicianSpec(1.0, cfg.theta_eve, 4), RngSeed(9, 2))
         w = lob_beamformer(cfg.theta_bob, 4)
-        sinr_bob, sinr_eve = sinr_pair(h_bob, h_eve, cfg)
+        sinr_bob, sinr_eve = _sinr_pair(h_bob, h_eve, cfg)
         assert sinr_bob == pytest.approx(
             cfg.total_power * abs(np.vdot(h_bob, w)) ** 2 / cfg.noise_power_bob, rel=1e-12
         )
@@ -120,15 +138,15 @@ class TestSinrPair:
         cfg = make_config(an_fraction=1.0)
         h_bob = steering_vector(0.0, 4)
         h_eve = steering_vector(cfg.theta_eve, 4)
-        sinr_bob, sinr_eve = sinr_pair(h_bob, h_eve, cfg)
+        sinr_bob, sinr_eve = _sinr_pair(h_bob, h_eve, cfg)
         assert sinr_bob == 0.0 and sinr_eve == 0.0
 
     def test_misaligned_beam_leaks_noise_onto_bob(self):
         cfg = make_config(k_factor_bob=math.inf, an_fraction=0.5)
         h_bob = steering_vector(0.0, 4)
         h_eve = steering_vector(cfg.theta_eve, 4)
-        aligned, _ = sinr_pair(h_bob, h_eve, cfg, theta_hat=0.0)
-        skewed, _ = sinr_pair(h_bob, h_eve, cfg, theta_hat=0.1)
+        aligned, _ = _sinr_pair(h_bob, h_eve, cfg, theta_hat=0.0)
+        skewed, _ = _sinr_pair(h_bob, h_eve, cfg, theta_hat=0.1)
         leakage = np.linalg.norm(h_bob.conj() @ an_basis(0.1, 4)) ** 2
         assert leakage > 1e-3
         assert skewed < aligned
@@ -236,7 +254,7 @@ class TestRunLob:
         h_bob = sample_rician(spec_bob, RngSeed(master, base + 1), size=t + 1)[t]
         h_eve = sample_rician(spec_eve, RngSeed(master, base + 2), size=t + 1)[t]
         assert result.theta_hat[t] == theta_hat
-        sinr_bob, sinr_eve = sinr_pair(h_bob, h_eve, cfg, theta_hat)
+        sinr_bob, sinr_eve = _sinr_pair(h_bob, h_eve, cfg, theta_hat)
         np.testing.assert_array_max_ulp(result.sinr_bob[t], sinr_bob, 4)
         np.testing.assert_array_max_ulp(result.sinr_eve[t], sinr_eve, 4)
 

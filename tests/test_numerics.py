@@ -16,8 +16,6 @@ from fblsec.numerics import (
     brent_root,
     q_func,
     q_func_inv,
-    sample_standard_normal,
-    sample_uniform,
 )
 
 from oracles import binomial_cdf_exact, binomial_cdf_patterns, q_oracle
@@ -258,26 +256,21 @@ class TestBrentRoot:
 class TestRandomStreams:
     def test_same_seed_identical(self):
         seed = RngSeed(987654321, 7)
-        a = sample_standard_normal(seed, 64)
-        b = sample_standard_normal(seed, 64)
+        a = seed.generator().standard_normal(64)
+        b = seed.generator().standard_normal(64)
         assert np.array_equal(a, b)
-        assert np.array_equal(sample_uniform(seed, 64), sample_uniform(seed, 64))
+        assert np.array_equal(seed.generator().random(64), seed.generator().random(64))
 
     def test_streams_separate(self):
         master = 11
-        a = sample_standard_normal(RngSeed(master, 0), 16)
-        b = sample_standard_normal(RngSeed(master, 1), 16)
+        a = RngSeed(master, 0).generator().standard_normal(16)
+        b = RngSeed(master, 1).generator().standard_normal(16)
         assert not np.any(a == b)
 
     def test_normal_moments(self):
-        draws = sample_standard_normal(RngSeed(2024, 0), 10**6)
+        draws = RngSeed(2024, 0).generator().standard_normal(10**6)
         assert abs(draws.mean()) < 0.01
         assert abs(draws.var() - 1.0) < 0.01
-
-    def test_uniform_range_and_mean(self):
-        draws = sample_uniform(RngSeed(2024, 1), 10**5)
-        assert draws.min() >= 0.0 and draws.max() < 1.0
-        assert abs(draws.mean() - 0.5) < 0.01
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -298,7 +291,3 @@ class TestRandomStreams:
     def test_stream_helper(self):
         seed = RngSeed(5, 0)
         assert seed.stream(9) == RngSeed(5, 9)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            sample_standard_normal(RngSeed(1), -1)

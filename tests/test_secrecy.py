@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblsec.fb_coding import (
+    SNR_BRACKET_DB,
     ApproximationConfig,
     capacity,
     db_to_linear,
@@ -18,7 +19,6 @@ from fblsec.numerics import UnsatisfiableError, q_func_inv
 from fblsec.secrecy import (
     ConstraintPair,
     RateIntervals,
-    asymptotic_secrecy_capacity,
     min_blocklength,
     r_inf,
     r_sup,
@@ -134,13 +134,6 @@ class TestRateInterval:
         assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.01)
 
 
-class TestAsymptoticSecrecyCapacity:
-    def test_values(self):
-        assert asymptotic_secrecy_capacity(2.0, 2.0) == 0.0
-        assert asymptotic_secrecy_capacity(3.0, 1.0) == 1.0
-        assert asymptotic_secrecy_capacity(1.0, 3.0) == 0.0
-
-
 class TestSecurityGap:
     def test_eve_threshold_closed_form(self):
         # eps = 0.5 exactly at rate = capacity, so snr_e_max = 2^rate - 1.
@@ -161,6 +154,15 @@ class TestSecurityGap:
             gap = security_gap(n, rate, CP)
             assert abs(error_probability(n, rate, gap.snr_b_min) - CP.beta_b) < 1e-9
             assert abs(error_probability(n, rate, gap.snr_e_max) - CP.beta_e) < 1e-9
+
+    def test_target_met_exactly_at_bracket_end(self):
+        # Bob's target is the error probability at the -60 dB end itself, so
+        # that end is the root.
+        lo = db_to_linear(SNR_BRACKET_DB[0])
+        beta_b = error_probability(500, 1e-5, lo)
+        with pytest.warns(RuntimeWarning, match="no stricter"):
+            constraints = ConstraintPair(beta_b, beta_b / 2)
+        assert security_gap(500, 1e-5, constraints).snr_b_min == lo
 
     def test_gap_shrinks_with_blocklength(self):
         gaps = [security_gap(n, 1.0, CP).gap_linear for n in (100, 200, 500, 1000, 2000, 10**6)]

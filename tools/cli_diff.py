@@ -138,6 +138,12 @@ CASES = [
     [["cipc", "--trials", "30", "--seed", "7", "--out", "a.csv"],
      ["cipc", "--conf", "a.csv.manifest", "--out", "b.csv"]],
     _one("lob", "--conf=missing.cfg", "--out", "o.csv"),
+    # negative values in exponent form or infinite, joined by "=" or not
+    [["interval", "--n", "500", "--snr-e-db=-0.00001", "--out", "a.csv"],
+     ["interval", "--config", "a.csv.manifest", "--out", "b.csv"]],
+    _one("interval", "--n", "500", "--snr-e-db", "-1e1"),
+    _one("lob", "--trials", "20", "--theta-eve-deg", "-1e-5", "--out", "l.csv"),
+    _one("cipc", "--trials", "3", "--p-max", "-inf"),
     _one("-h"),
 ] + [_one(name, "-h") for name in COMMANDS]
 
