@@ -175,9 +175,8 @@ def _solve_snr_for_ber(
                 f"ceiling at zero SNR is {ceiling:.6g}"
             )
 
-    root_db = brent_root(
-        lambda snr_db: ber_at(db_to_linear(snr_db)) - target, lo_db, hi_db, xtol=1e-12
-    )
+    root_db = brent_root(lambda snr_db: ber_at(db_to_linear(snr_db)) - target,
+                         lo_db, hi_db, ber_lo - target, ber_hi - target, xtol=1e-12)
     return db_to_linear(root_db), False
 
 

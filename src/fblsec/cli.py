@@ -39,8 +39,6 @@ EXIT_USAGE = 2
 EXIT_UNSATISFIABLE = 3
 EXIT_IO = 4
 
-# Config keys whose values expand to several command-line tokens.
-_LIST_KEYS = {"n_list", "q_grid", "phi_grid"}
 # Informational manifest keys that are not flags and are skipped on replay.
 _NON_REPLAY_KEYS = {"timestamp", "channel_model"}
 
@@ -73,7 +71,7 @@ def _parse_kv_file(path: str) -> list[tuple[int, str, str]]:
     return entries
 
 
-def _config_to_flags(path: str, command: str) -> list[str]:
+def _config_to_flags(path: str, command: str, list_flags: set[str]) -> list[str]:
     # A manifest replays byte for byte only under the command and the
     # toolkit version that wrote it, so both are checked, not skipped.
     checked = {"command": command, "version": __version__}
@@ -89,7 +87,7 @@ def _config_to_flags(path: str, command: str) -> list[str]:
                 )
             continue
         flags.append("--" + key.replace("_", "-"))
-        if key in _LIST_KEYS:
+        if flags[-1] in list_flags:
             flags.extend(value.split())
         else:
             flags.append(value)
@@ -104,11 +102,9 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _join_numbers(command: str, tokens: list[str]) -> list[str]:
-    """Join ``--flag VALUE`` into ``--flag=VALUE`` for a one-value flag of the
-    command and a numeric VALUE: argparse takes -1e1 or -inf for an option."""
-    flags = _COMMANDS[command].flags if command in _COMMANDS else ()
-    one_value = {flag for flag, kwargs in flags if "nargs" not in kwargs}
+def _join_numbers(one_value: set[str], tokens: list[str]) -> list[str]:
+    """Join ``--flag VALUE`` into ``--flag=VALUE`` for a flag in one_value and
+    a numeric VALUE: argparse takes -1e1 or -inf for an option."""
     joined: list[str] = []
     for tok in tokens:
         if joined and joined[-1] in one_value and _is_number(tok):
@@ -124,6 +120,10 @@ def _expand_config(argv: list[str]) -> list[str]:
     if not argv or argv[0].startswith("-"):
         return argv
     command, rest = argv[0], argv[1:]
+    # Which flags take several values and which one, from the command table.
+    specs = _COMMANDS[command].flags if command in _COMMANDS else ()
+    list_flags = {flag for flag, kwargs in specs if "nargs" in kwargs}
+    one_value = {flag for flag, kwargs in specs if "nargs" not in kwargs}
     paths = []
     i = 0
     while i < len(rest):
@@ -138,8 +138,8 @@ def _expand_config(argv: list[str]) -> list[str]:
             i += 1
     injected: list[str] = []
     for path in paths:
-        injected.extend(_config_to_flags(path, command))
-    return [command] + _join_numbers(command, injected + rest)
+        injected.extend(_config_to_flags(path, command, list_flags))
+    return [command] + _join_numbers(one_value, injected + rest)
 
 
 # ----------------------------------------------------------------------

@@ -74,9 +74,9 @@ def _check_snr(gamma: float) -> float:
 
 
 def _check_snrs(gamma) -> np.ndarray:
-    """_check_snr over an array: the first bad value raises the scalar message."""
+    """_check_snr over an array that may hold exact zeros: the first bad value raises its message."""
     gamma = np.asarray(gamma, dtype=float)
-    bad = ~(np.isfinite(gamma) & (gamma > 0.0))
+    bad = ~(np.isfinite(gamma) & (gamma >= 0.0))
     if bad.any():
         _check_snr(gamma[bad][0])
     return gamma

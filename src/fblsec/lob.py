@@ -5,8 +5,9 @@ the steering vector of the receiver's (possibly misestimated) bearing and
 spends a fraction phi of its power on artificial noise spread evenly over
 the beam's null space. A receiver whose channel is pure LOS at exactly
 the steered angle sees no artificial noise at all; scatter (finite Rician
-K) or bearing error leaks some of it. Per trial the realized Bob/Eve
-SINRs are scored through the rate-interval assessment. Each random role
+K) or bearing error leaks some of it. The realized Bob/Eve SINRs are
+scored through secrecy.rate_interval_batch, which reads a zero SINR (no
+power on information) as a receiver that decodes nothing. Each random role
 (bearing error, Bob's channel, Eve's channel) has its own keyed stream
 and draws all its trials in one call.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count
-from .secrecy import ConstraintPair, RateIntervals, _ceilings, _floors
+from .secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_BEARING = 0
@@ -129,32 +130,6 @@ def _sinr(h: np.ndarray, w: np.ndarray, cfg: LobConfig, noise_power: float) -> n
     return signal / (an + noise_power)
 
 
-def _rate_intervals(
-    n: int,
-    sinr_bob: np.ndarray,
-    sinr_eve: np.ndarray,
-    constraints: ConstraintPair,
-    approx: ApproximationConfig,
-) -> RateIntervals:
-    """Rate intervals of SINR pairs, zero SINRs included.
-
-    Zero SINR falls outside the positive-SNR domain of the rate formulas
-    and is handled as the physical limit: a receiver with no signal power
-    decodes nothing. At Eve that makes every rate secure (floor zero); at
-    Bob it makes the reliability target unreachable, reported as an
-    infeasible trial with a zero, clamped rate ceiling. Ceilings and
-    floors are computed only where the SINR is positive, so a run in which
-    Eve never hears anything emits no beta_e warning.
-    """
-    bob_on, eve_on = sinr_bob > 0.0, sinr_eve > 0.0
-    r_sup, clamped = np.zeros(len(sinr_bob)), np.ones(len(sinr_bob), dtype=bool)
-    r_sup[bob_on], clamped[bob_on] = _ceilings(n, constraints.beta_b, sinr_bob[bob_on], approx)
-    r_inf = np.zeros(len(sinr_eve))
-    r_inf[eve_on] = _floors(n, constraints.beta_e, sinr_eve[eve_on], approx)
-    delta_r = np.where(bob_on, r_sup - r_inf, -r_inf)
-    return RateIntervals(r_sup, r_inf, delta_r, bob_on & (delta_r >= 0.0), clamped)
-
-
 def run_lob(cfg: LobConfig) -> LobResult:
     """Monte Carlo over fading and bearing error; per-trial columns plus a summary.
 
@@ -177,7 +152,7 @@ def run_lob(cfg: LobConfig) -> LobResult:
     h_eve = sample_rician(spec_eve, cfg.seed.stream(base + _ROLE_EVE), size=cfg.trials)
     sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob)
     sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve)
-    a = _rate_intervals(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
+    a = rate_interval_batch(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
 
     # Means summed left to right as Python floats.
     n = cfg.trials

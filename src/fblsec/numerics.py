@@ -88,19 +88,21 @@ def _binomial_log_pmf(j: np.ndarray, n: int, p: float, log_coef: np.ndarray) -> 
     return log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
 
 
-def brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """A root of f in [a, b] by Brent's method, given f(a) and f(b) of opposite signs.
+def brent_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float
+) -> float:
+    """A root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b) of opposite signs.
 
     Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4,
     in the variant of SciPy's C solver: the same steps, the same stopping
     test |step| < (xtol + 4 eps |x|) / 2 and the same 100-iteration cap, so
-    its iterates and result are those of SciPy's Brent root-finder. An
-    exact zero at either end is returned as is. f must return finite
-    values. Raises ValueError when f(a) and f(b) have the same sign, and
-    RuntimeError when the cap is reached.
+    past the two ends its iterates and result are those of SciPy's Brent
+    root-finder. An exact zero at either end is returned as is. f must
+    return finite values. Raises ValueError when fa and fb have the same
+    sign, and RuntimeError when the cap is reached.
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

@@ -164,29 +164,6 @@ def rate_interval(
     )
 
 
-def _ceilings(
-    n: int, beta_b: float, gamma_b, cfg: ApproximationConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """max_rate over an SNR array, as (rates, clamped); the caller checks n and beta_b."""
-    raw = fb_coding._rate_bound_batch(n, beta_b, fb_coding._check_snrs(gamma_b), cfg)
-    clamped = raw < 0.0
-    return np.where(clamped, 0.0, raw), clamped
-
-
-def _floors(n: int, beta_e: float, gamma_e, cfg: ApproximationConfig) -> np.ndarray:
-    """r_inf over an SNR array; the caller checks n and beta_e.
-
-    Warns once, as r_inf does per call, when beta_e > 0.5 and there is at
-    least one floor to compute.
-    """
-    gamma_e = fb_coding._check_snrs(gamma_e)
-    if gamma_e.size:
-        _warn_if_beyond_guessing(beta_e, stacklevel=4)
-    if beta_e == 1.0:
-        return np.full(gamma_e.shape, math.inf)
-    return fb_coding._rate_bound_batch(n, beta_e, gamma_e, cfg)
-
-
 def rate_interval_batch(
     n: int,
     gamma_b,
@@ -197,19 +174,34 @@ def rate_interval_batch(
     """rate_interval over equal-shape arrays of Bob and Eve SNRs, as arrays
     of that shape (columns, for 1-D input).
 
-    Every entry is bit-identical to the scalar rate_interval of its SNR
-    pair: the same checks and messages, the same float operations in the
-    same order, Qinv evaluated once per constraint. The beta_e > 0.5
-    warning is emitted once per call, not once per scenario.
+    Unlike the scalar call it accepts SNRs of exactly zero, as the physical
+    limit: a receiver with no signal power decodes nothing. At Eve every
+    rate is then secure (floor zero); at Bob the reliability target is
+    unreachable, so the entry is infeasible with a zero, clamped ceiling
+    and delta_r = -r_inf. Every other entry is bit-identical to the scalar
+    rate_interval of its SNR pair: the same checks and messages, the same
+    float operations in the same order, Qinv evaluated once per constraint.
+    The beta_e > 0.5 warning is emitted once per call, and only when some
+    Eve SNR is nonzero.
     """
     n = fb_coding._check_blocklength(n)
     gamma_b, gamma_e = np.asarray(gamma_b, dtype=float), np.asarray(gamma_e, dtype=float)
     if gamma_b.shape != gamma_e.shape:
         raise ValueError(f"SNR arrays differ in shape: {gamma_b.shape} vs {gamma_e.shape}")
-    r_sup, clamped = _ceilings(n, constraints.beta_b, gamma_b, cfg)
-    floor = _floors(n, constraints.beta_e, gamma_e, cfg)
-    delta = r_sup - floor
-    return RateIntervals(r_sup, floor, delta, delta >= 0.0, clamped)
+    bob_on = fb_coding._check_snrs(gamma_b) > 0.0
+    raw = fb_coding._rate_bound_batch(n, constraints.beta_b, gamma_b, cfg)
+    clamped = ~bob_on | (raw < 0.0)
+    r_sup = np.where(clamped, 0.0, raw)
+    eve_on = fb_coding._check_snrs(gamma_e) > 0.0
+    if eve_on.any():
+        _warn_if_beyond_guessing(constraints.beta_e, stacklevel=3)
+    if constraints.beta_e == 1.0:
+        floor = np.full(gamma_e.shape, math.inf)
+    else:
+        floor = fb_coding._rate_bound_batch(n, constraints.beta_e, gamma_e, cfg)
+    floor = np.where(eve_on, floor, 0.0)
+    delta = np.where(bob_on, r_sup - floor, -floor)
+    return RateIntervals(r_sup, floor, delta, bob_on & (delta >= 0.0), clamped)
 
 
 def _solve_snr_for_error_prob(
@@ -241,7 +233,7 @@ def _solve_snr_for_error_prob(
             f"{side}: error probability stays above {target} even at the "
             f"{hi_db} dB end of the search bracket"
         )
-    return db_to_linear(brent_root(residual, lo_db, hi_db, xtol=1e-12))
+    return db_to_linear(brent_root(residual, lo_db, hi_db, res_lo, res_hi, xtol=1e-12))
 
 
 def security_gap(

@@ -9,7 +9,6 @@ from fblsec.channels import sample_rician, steering_vector, RicianSpec
 from fblsec.lob import (
     LobConfig,
     _an_leakage,
-    _rate_intervals,
     _sinr,
     lob_beamformer,
     optimize_an_fraction,
@@ -17,7 +16,7 @@ from fblsec.lob import (
 )
 from fblsec.numerics import RngSeed
 from fblsec.fb_coding import ApproximationConfig
-from fblsec.secrecy import ConstraintPair, RateIntervals
+from fblsec.secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
 from oracles import an_basis, assess_sinr_pair
 
@@ -292,7 +291,8 @@ class TestRunLob:
 
 
 class TestZeroSinrMasks:
-    """LOB's zero-SINR masks against the scalar policy in the oracles."""
+    """LOB's zero SINRs, as rate_interval_batch scores them, against the
+    scalar policy in the oracles."""
 
     SINR_BOB = [0.0, 0.0, 0.0, 40.0, 3.0, 1e-3, 40.0]
     SINR_EVE = [0.0, 2.0, 1e-4, 0.0, 0.0, 5.0, 2.0]
@@ -304,9 +304,7 @@ class TestZeroSinrMasks:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cp = ConstraintPair(1e-6, beta_e)
-            got = _rate_intervals(
-                100, np.array(self.SINR_BOB), np.array(self.SINR_EVE), cp, approx
-            )
+            got = rate_interval_batch(100, self.SINR_BOB, self.SINR_EVE, cp, approx)
             want = [
                 assess_sinr_pair(100, b, e, cp, approx)
                 for b, e in zip(self.SINR_BOB, self.SINR_EVE)

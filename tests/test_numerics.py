@@ -229,7 +229,8 @@ class TestBrentRoot:
                 calls.append(x)
                 return f(x)
 
-            ours = _solve(brent_root, logged, lo, hi)
+            # SciPy evaluates both ends first; brent_root takes them as arguments.
+            ours = _solve(lambda f, a, b, xtol: brent_root(f, a, b, f(a), f(b), xtol), logged, lo, hi)
             ours_calls, calls[:] = list(calls), []
             theirs = _solve(brentq, logged, lo, hi)
             assert (ours, ours_calls) == (theirs, calls)
@@ -242,13 +243,13 @@ class TestBrentRoot:
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            brent_root(lambda x: x + 100.0, -60.0, 60.0, xtol=1e-12)
+            brent_root(lambda x: x + 100.0, -60.0, 60.0, 40.0, 160.0, xtol=1e-12)
 
     def test_iteration_cap_raises(self):
         # A sign step at 1e-300 with no absolute tolerance needs ~1000 halvings.
         step = lambda x: math.copysign(1.0, x - 1e-300)
         with pytest.raises(RuntimeError, match="100 iterations"):
-            brent_root(step, -60.0, 60.0, xtol=5e-324)
+            brent_root(step, -60.0, 60.0, -1.0, 1.0, xtol=5e-324)
         with pytest.raises(RuntimeError):
             brentq(step, -60.0, 60.0, xtol=5e-324)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fblsec import fb_coding
 from fblsec.fb_coding import (
     SNR_BRACKET_DB,
     ApproximationConfig,
@@ -27,7 +28,7 @@ from fblsec.secrecy import (
     security_gap,
 )
 
-from oracles import exact_outcome, min_blocklength_search, security_gap_search
+from oracles import assess_sinr_pair, exact_outcome, min_blocklength_search, security_gap_search
 
 CP = ConstraintPair(beta_b=1e-6, beta_e=0.5)
 GB = db_to_linear(10.0)
@@ -163,6 +164,15 @@ class TestSecurityGap:
         with pytest.warns(RuntimeWarning, match="no stricter"):
             constraints = ConstraintPair(beta_b, beta_b / 2)
         assert security_gap(500, 1e-5, constraints).snr_b_min == lo
+
+    def test_bracket_ends_evaluated_once(self, monkeypatch):
+        # Each of the two searches evaluates its bracket ends once, for the
+        # bracket checks, and hands them to the solver.
+        calls = []
+        inner = fb_coding._error_probability
+        monkeypatch.setattr(fb_coding, "_error_probability", lambda *a: calls.append(a) or inner(*a))
+        security_gap(500, 1.0, CP)
+        assert len(calls) == 26
 
     def test_gap_shrinks_with_blocklength(self):
         gaps = [security_gap(n, 1.0, CP).gap_linear for n in (100, 200, 500, 1000, 2000, 10**6)]
@@ -357,7 +367,8 @@ class TestMinBlocklengthChecksOnce:
 
 
 class TestRateIntervalBatch:
-    """The array kernel against the scalar rate_interval, entry by entry."""
+    """The array kernel against the scalar rate_interval, entry by entry,
+    and against the oracles' zero-SNR policy where an SNR is zero."""
 
     @given(
         n=st.one_of(st.just(1), st.integers(1, 10**6)),
@@ -366,21 +377,30 @@ class TestRateIntervalBatch:
         beta_b=st.floats(1e-12, 0.6),
         beta_e=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-3, 1.0)),
         log_term=st.booleans(),
+        zero_share=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
     )
-    @example(n=1, seed=0, size=50, beta_b=1e-6, beta_e=1.0, log_term=True)
-    @example(n=3, seed=1, size=50, beta_b=1e-9, beta_e=0.7, log_term=False)
+    @example(n=1, seed=0, size=50, beta_b=1e-6, beta_e=1.0, log_term=True, zero_share=0.0)
+    @example(n=3, seed=1, size=50, beta_b=1e-9, beta_e=0.7, log_term=False, zero_share=0.0)
+    @example(n=100, seed=2, size=50, beta_b=1e-6, beta_e=0.2, log_term=True, zero_share=0.3)
+    @example(n=100, seed=3, size=50, beta_b=1e-6, beta_e=0.5, log_term=False, zero_share=0.3)
+    @example(n=100, seed=4, size=50, beta_b=1e-6, beta_e=0.7, log_term=True, zero_share=0.3)
+    @example(n=100, seed=5, size=50, beta_b=1e-6, beta_e=1.0, log_term=False, zero_share=0.3)
     @settings(max_examples=300, deadline=None)
-    def test_matches_scalar_rate_interval(self, n, seed, size, beta_b, beta_e, log_term):
+    def test_matches_scalar_rate_interval(self, n, seed, size, beta_b, beta_e, log_term, zero_share):
         # SNRs log-uniform over -60..60 dB: arbitrary doubles, many of them
-        # low enough at small n for a clamped ceiling.
+        # low enough at small n for a clamped ceiling; each side's entries
+        # are set to exactly zero with probability zero_share.
         rng = np.random.default_rng(seed)
         gb, ge = 10.0 ** rng.uniform(-6.0, 6.0, size=(2, size))
+        gb[rng.random(size) < zero_share] = 0.0
+        ge[rng.random(size) < zero_share] = 0.0
         cfg = ApproximationConfig(include_log_term=log_term)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cp = ConstraintPair(beta_b, beta_e)
             batch = rate_interval_batch(n, gb, ge, cp, cfg)
-            scalar = [rate_interval(n, b, e, cp, cfg) for b, e in zip(gb.tolist(), ge.tolist())]
+            # assess_sinr_pair is the scalar rate_interval when both SNRs are positive.
+            scalar = [assess_sinr_pair(n, b, e, cp, cfg) for b, e in zip(gb.tolist(), ge.tolist())]
         for name in ("r_sup", "r_inf", "delta_r"):
             got = getattr(batch, name)
             want = np.array([getattr(a, name) for a in scalar])
@@ -416,7 +436,7 @@ class TestRateIntervalBatch:
         assert [str(w.message).split(" ")[0] for w in caught] == ["beta_e=0.7"]
         assert caught[0].category is RuntimeWarning
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     @pytest.mark.parametrize("side", ["bob", "eve"])
     def test_rejects_snr_with_scalar_message(self, bad, side):
         gamma = [GB, GB, bad, -2.0]
@@ -427,6 +447,20 @@ class TestRateIntervalBatch:
         with pytest.raises(ValueError) as scalar_error:
             rate_interval(500, *(x[2] for x in args), CP)
         assert str(batch_error.value) == str(scalar_error.value)
+
+    def test_accepts_zeros_that_the_scalar_rejects(self):
+        cp = ConstraintPair(1e-6, 0.7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            a = rate_interval_batch(500, [0.0, GB, 0.0], [0.0, 0.0, 0.0], cp)
+        assert caught == []  # no Eve SNR is nonzero, so no beta_e warning
+        assert a.r_sup.tolist() == [0.0, rate_interval(500, GB, GE, CP).r_sup, 0.0]
+        assert a.r_inf.tolist() == [0.0] * 3 and a.r_sup_clamped.tolist() == [True, False, True]
+        assert a.feasible.tolist() == [False, True, False]
+        assert np.signbit(a.delta_r).tolist() == [True, False, True]
+        for args in ((0.0, GE), (GB, 0.0)):
+            with pytest.raises(ValueError, match="SNR must be positive and finite, got 0.0"):
+                rate_interval(500, *args, CP)
 
     def test_rejects_bad_blocklength_and_shape_mismatch(self):
         with pytest.raises(ValueError, match="blocklength"):

@@ -45,7 +45,7 @@ for action in parser._actions:
 print(json.dumps(spec))
 """
 COMMANDS = ("fig2", "fig3", "gap", "interval", "minblock", "cipc", "lob", "optimize-q", "optimize-an")
-FILES = {"bad.cfg": "# fine\nnot a pair\n", "c.cfg": "steps = 10\nn_list = 50\n"}
+FILES = {"bad.cfg": "# fine\nnot a pair\n", "c.cfg": "steps = 10\nn_list = 50\n", "q.cfg": "q_grid = 1 2\n"}
 
 
 def _one(*argv: str) -> list[list[str]]:
@@ -76,6 +76,9 @@ CASES = [
     _one("cipc", "--trials", "5000", "--antennas", "4", "--p-max", "0.4", "--sigma-delta", "0.1",
          "--out", "c.csv"),
     _one("cipc", "--trials", "200", "--beta-e", "0.7", "--out", "c.csv"),
+    _one("cipc", "--trials", "200", "--beta-e", "1.0", "--log-term", "true", "--out", "c.csv"),
+    # SNRs that underflow to exactly zero
+    _one("cipc", "--trials", "5", "--q-target", "5e-324", "--out", "c.csv"),
     _one("cipc", "--trials", "20", "--out=c.csv", "--config=c.cfg"),
     _one("lob", "--trials", "30", "--loc-error-deg", "2"),
     _one("lob", "--trials", "200", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4",
@@ -84,6 +87,7 @@ CASES = [
     _one("lob", "--trials", "3000", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4",
          "--out", "l.csv"),
     _one("lob", "--trials", "25", "--an-fraction", "1.0", "--beta-e", "0.7", "--out", "l.csv"),
+    _one("lob", "--trials", "50", "--an-fraction", "1.0", "--beta-e", "1.0", "--out", "l.csv"),
     _one("lob", "--trials", "50", "--out", "l.csv"),
     _one("lob", "--trials", "40", "--antennas", "8", "--k-bob", "inf", "--loc-error-deg", "1",
          "--out", "l.csv"),
@@ -134,6 +138,7 @@ CASES = [
     _one("fig2", "--out", "o.csv", "--config", "bad.cfg"),
     _one("fig2", "--config", "c.cfg", "--steps", "4", "--out", "o.csv"),
     _one("fig2", "--config", "missing.cfg", "--out", "o.csv"),
+    _one("cipc", "--config", "q.cfg", "--trials", "5"),
     # abbreviated flags are refused, so a config is never silently dropped
     [["cipc", "--trials", "30", "--seed", "7", "--out", "a.csv"],
      ["cipc", "--conf", "a.csv.manifest", "--out", "b.csv"]],
