@@ -9,11 +9,11 @@ keeps the constant-received-power property exact on every transmitted
 trial. The eavesdropper observes through an independent Rayleigh channel
 and sees a randomly varying transmit power.
 
-Per trial the secrecy outcome is the rate-interval assessment of the
-realized (SNR_bob, SNR_eve) pair. Each random role (downlink channel,
-reciprocity error, Eve's channel) has its own keyed stream and draws all
-its trials in one call, so the first k trials do not depend on how many
-trials follow.
+Each random role (downlink channel, reciprocity error, Eve's channel)
+has its own keyed stream and draws all its trials in one call, so the
+first k trials do not depend on how many trials follow. The draw reduces
+each (trials, N) complex channel to a real gain column as soon as it can;
+each trial is then scored by the rate interval of its (SNR_bob, SNR_eve).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import ReciprocityError, _check_antennas, apply_reciprocity_error, sample_rayleigh
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
-from .numerics import RngSeed, _as_count
+from .numerics import RngSeed, _as_count, _best, _mean
 from .secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
 # Keyed stream of each random role: stream id base + role.
@@ -115,6 +115,23 @@ def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> np.ndarray:
     return np.where(p_t > cfg.p_max, np.nan, p_t)
 
 
+def _draw(cfg: CipcConfig):
+    """The sent mask, then p_t, |h_u^T w|^2 and |g^H w|^2 of the transmitted
+    trials; each complex channel is dropped as soon as its gain is taken."""
+    base = cfg.seed.stream_id
+    h_d = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_CHANNEL), size=cfg.trials)
+    p_t = cipc_power(h_d, cfg)
+    sent = ~np.isnan(p_t)
+    h_d, p_t = h_d[sent], p_t[sent]
+    w = cipc_beamformer(h_d)
+    h_u = apply_reciprocity_error(h_d, cfg.reciprocity, cfg.seed.stream(base + _ROLE_RECIPROCITY))
+    del h_d
+    bob_gain = np.abs(np.vecdot(h_u.conj(), w)) ** 2
+    del h_u
+    g = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_EVE), size=len(p_t))
+    return sent, p_t, bob_gain, np.abs(np.vecdot(g, w)) ** 2
+
+
 def run_cipc(cfg: CipcConfig) -> CipcResult:
     """Monte Carlo over fading: returns per-trial columns plus a summary.
 
@@ -125,35 +142,17 @@ def run_cipc(cfg: CipcConfig) -> CipcResult:
     nothing beyond h_d. With zero reciprocity error every transmitted
     trial delivers exactly q_target to Bob.
     """
-    base = cfg.seed.stream_id
-    h_d = sample_rayleigh(
-        cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_CHANNEL), size=cfg.trials
-    )
-    p_t = cipc_power(h_d, cfg)
-    sent = ~np.isnan(p_t)
-    h_d, p_t = h_d[sent], p_t[sent]
-    w = cipc_beamformer(h_d)
-    h_u = apply_reciprocity_error(
-        h_d, cfg.reciprocity, cfg.seed.stream(base + _ROLE_RECIPROCITY)
-    )
-    g = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_EVE), size=len(p_t))
-    rx_bob = p_t * np.abs(np.vecdot(h_u.conj(), w)) ** 2  # |h_u^T w|^2
+    sent, p_t, bob_gain, eve_gain = _draw(cfg)
+    rx_bob = p_t * bob_gain
     gamma_b = rx_bob / cfg.noise_power_bob
-    gamma_e = p_t * np.abs(np.vecdot(g, w)) ** 2 / cfg.noise_power_eve
+    gamma_e = p_t * eve_gain / cfg.noise_power_eve
     a = rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
-
-    # Means over transmitted trials, summed left to right as Python floats.
-    sent_count = len(p_t)
-    feasibility, mean_delta_r, mean_gamma_e = (
-        sum(column.tolist()) / sent_count if sent_count else math.nan
-        for column in (a.feasible, a.delta_r, gamma_e)
-    )
     summary = CipcSummary(
         trials=cfg.trials,
-        suspension_prob=(cfg.trials - sent_count) / cfg.trials,
-        feasibility_prob=feasibility,
-        mean_delta_r=mean_delta_r,
-        mean_gamma_e=mean_gamma_e,
+        suspension_prob=(cfg.trials - len(p_t)) / cfg.trials,
+        feasibility_prob=_mean(a.feasible),
+        mean_delta_r=_mean(a.delta_r),
+        mean_gamma_e=_mean(gamma_e),
     )
     return CipcResult(sent, p_t, rx_bob, gamma_b, gamma_e, a, summary)
 
@@ -187,5 +186,4 @@ def optimize_q(cfg: CipcConfig, q_grid) -> QOptimum:
     for q in q_values:
         result = run_cipc(replace(cfg, q_target=q))
         curve.append((q, _q_objective(result.summary)))
-    q_star = max(curve, key=lambda pair: (pair[1], -pair[0]))[0]
-    return QOptimum(q_star=q_star, objective_curve=curve)
+    return QOptimum(q_star=_best(curve), objective_curve=curve)

@@ -5,11 +5,12 @@ the steering vector of the receiver's (possibly misestimated) bearing and
 spends a fraction phi of its power on artificial noise spread evenly over
 the beam's null space. A receiver whose channel is pure LOS at exactly
 the steered angle sees no artificial noise at all; scatter (finite Rician
-K) or bearing error leaks some of it. The realized Bob/Eve SINRs are
-scored through secrecy.rate_interval_batch, which reads a zero SINR (no
-power on information) as a receiver that decodes nothing. Each random role
-(bearing error, Bob's channel, Eve's channel) has its own keyed stream
-and draws all its trials in one call.
+K) or bearing error leaks some of it. Each random role (bearing error,
+Bob's channel, Eve's channel) has its own keyed stream and draws all its
+trials in one call; the draw reduces each receiver's channel to its beam
+gain and leakage before the next is drawn. The SINRs are scored through
+secrecy.rate_interval_batch, which reads a zero SINR (no power on
+information) as a receiver that decodes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
-from .numerics import RngSeed, _as_count
+from .numerics import RngSeed, _as_count, _best, _mean
 from .secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
 # Keyed stream of each random role: stream id base + role.
@@ -117,17 +118,35 @@ def _an_leakage(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.vecdot(h, h).real - np.abs(np.vecdot(w, h)) ** 2)
 
 
-def _sinr(h: np.ndarray, w: np.ndarray, cfg: LobConfig, noise_power: float) -> np.ndarray:
-    """SINR of a receiver with channel h under beam w, along the last axis.
+def _gains(h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|h^H w|^2, ||h^H V||^2) of a receiver with channel h under beam w."""
+    return np.abs(np.vecdot(h, w)) ** 2, _an_leakage(h, w)
+
+
+def _sinr(gain: np.ndarray, leakage: np.ndarray, cfg: LobConfig, noise_power: float) -> np.ndarray:
+    """SINR of a receiver from its beam gain and artificial-noise leakage.
 
     Signal power is (1-phi) P |h^H w|^2; artificial noise adds
     (phi P / (N-1)) ||h^H V||^2 on top of thermal noise.
     """
-    info_power = (1.0 - cfg.an_fraction) * cfg.total_power
-    an_power = cfg.an_fraction * cfg.total_power
-    signal = info_power * np.abs(np.vecdot(h, w)) ** 2
-    an = an_power / (cfg.n_antennas - 1) * _an_leakage(h, w)
-    return signal / (an + noise_power)
+    an = cfg.an_fraction * cfg.total_power / (cfg.n_antennas - 1) * leakage
+    return (1.0 - cfg.an_fraction) * cfg.total_power * gain / (an + noise_power)
+
+
+def _draw(cfg: LobConfig):
+    """Per-trial real columns: theta_hat and the (gain, leakage) pair of
+    Bob and of Eve. Bob's channel is dropped before Eve's is drawn."""
+    base = cfg.seed.stream_id
+    theta_hat = np.full(cfg.trials, cfg.theta_bob, dtype=float)
+    if cfg.location_error_std > 0.0:
+        err = cfg.seed.stream(base + _ROLE_BEARING).generator().standard_normal(cfg.trials)
+        theta_hat = np.clip(theta_hat + cfg.location_error_std * err, -_ANGLE_LIMIT, _ANGLE_LIMIT)
+    w = lob_beamformer(theta_hat, cfg.n_antennas)
+    spec_bob = RicianSpec(cfg.k_factor_bob, cfg.theta_bob, cfg.n_antennas)
+    spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
+    bob = _gains(sample_rician(spec_bob, cfg.seed.stream(base + _ROLE_BOB), size=cfg.trials), w)
+    eve = _gains(sample_rician(spec_eve, cfg.seed.stream(base + _ROLE_EVE), size=cfg.trials), w)
+    return theta_hat, bob, eve
 
 
 def run_lob(cfg: LobConfig) -> LobResult:
@@ -138,33 +157,16 @@ def run_lob(cfg: LobConfig) -> LobResult:
     and assess the realized SINR pair. Deterministic under cfg.seed; the
     bearing error is drawn only when location_error_std > 0.
     """
-    base = cfg.seed.stream_id
-    theta_hat = np.full(cfg.trials, cfg.theta_bob, dtype=float)
-    if cfg.location_error_std > 0.0:
-        err = cfg.seed.stream(base + _ROLE_BEARING).generator().standard_normal(cfg.trials)
-        theta_hat = np.clip(
-            theta_hat + cfg.location_error_std * err, -_ANGLE_LIMIT, _ANGLE_LIMIT
-        )
-    w = lob_beamformer(theta_hat, cfg.n_antennas)
-    spec_bob = RicianSpec(cfg.k_factor_bob, cfg.theta_bob, cfg.n_antennas)
-    spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
-    h_bob = sample_rician(spec_bob, cfg.seed.stream(base + _ROLE_BOB), size=cfg.trials)
-    h_eve = sample_rician(spec_eve, cfg.seed.stream(base + _ROLE_EVE), size=cfg.trials)
-    sinr_bob = _sinr(h_bob, w, cfg, cfg.noise_power_bob)
-    sinr_eve = _sinr(h_eve, w, cfg, cfg.noise_power_eve)
+    theta_hat, bob, eve = _draw(cfg)
+    sinr_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
+    sinr_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
     a = rate_interval_batch(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
-
-    # Means summed left to right as Python floats.
-    n = cfg.trials
-    mean_sinr_bob, mean_sinr_eve, feasibility, mean_delta_r = (
-        sum(column.tolist()) / n for column in (sinr_bob, sinr_eve, a.feasible, a.delta_r)
-    )
     summary = LobSummary(
-        trials=n,
-        mean_sinr_bob=mean_sinr_bob,
-        mean_sinr_eve=mean_sinr_eve,
-        feasibility_prob=feasibility,
-        mean_delta_r=mean_delta_r,
+        trials=cfg.trials,
+        mean_sinr_bob=_mean(sinr_bob),
+        mean_sinr_eve=_mean(sinr_eve),
+        feasibility_prob=_mean(a.feasible),
+        mean_delta_r=_mean(a.delta_r),
     )
     return LobResult(theta_hat, sinr_bob, sinr_eve, a, summary)
 
@@ -192,5 +194,4 @@ def optimize_an_fraction(cfg: LobConfig, phi_grid) -> AnOptimum:
     for phi in phis:
         result = run_lob(replace(cfg, an_fraction=phi))
         curve.append((phi, result.summary.feasibility_prob))
-    phi_star = max(curve, key=lambda pair: (pair[1], -pair[0]))[0]
-    return AnOptimum(phi_star=phi_star, objective_curve=curve)
+    return AnOptimum(phi_star=_best(curve), objective_curve=curve)

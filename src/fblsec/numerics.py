@@ -153,6 +153,16 @@ def _as_count(value, name: str) -> int:
     return i
 
 
+def _mean(column: np.ndarray) -> float:
+    """Mean of a simulator column summed left to right as Python floats; nan if empty."""
+    return sum(column.tolist()) / len(column) if len(column) else math.nan
+
+
+def _best(curve: list[tuple[float, float]]) -> float:
+    """Value of the highest objective in (value, objective) pairs; ties go to the smaller value."""
+    return max(curve, key=lambda pair: (pair[1], -pair[0]))[0]
+
+
 @dataclass(frozen=True, slots=True)
 class RngSeed:
     """Identifier of one keyed random substream.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -228,6 +229,19 @@ class TestRunCipc:
             run_cipc(cfg)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "beta_e=0.7" in str(caught[0].message)
+
+    def test_traced_peak_stays_below_five_channel_arrays(self):
+        # The draw reduces each (trials, N) complex channel to real gains
+        # as soon as it can, so they are never all alive at once.
+        cfg = make_config(n_antennas_tx=4, reciprocity=ReciprocityError(0.05), trials=200_000)
+        run_cipc(make_config(trials=10))
+        tracemalloc.start()
+        try:
+            run_cipc(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * cfg.trials * cfg.n_antennas_tx * 16
 
 
 class TestClosedFormOracle:

@@ -13,7 +13,7 @@ from fblsec import __version__, cli
 from fblsec.cipc import run_cipc
 from fblsec.cli import _COMMANDS, main
 from fblsec.lob import run_lob
-from fblsec.fb_coding import capacity, db_to_linear
+from fblsec.fb_coding import capacity, db_to_linear, linear_to_db
 
 
 def read(path):
@@ -391,6 +391,15 @@ class TestSimulatorCsvFromColumns:
         args = cli._build_parser().parse_args(argv)
         result = run_lob(cli._lob_config(args, args.an_fraction))
         assert read(out).decode().splitlines()[1:] == _lob_lines(result)
+
+    def test_db_cells_equal_linear_to_db_bit_for_bit(self):
+        # The CSV prints 13 digits, which would hide a last-bit difference.
+        rng = np.random.default_rng(20191)
+        linear = np.concatenate(
+            [np.exp(rng.uniform(-700.0, 700.0, 20_000)), [0.0, 5e-324, 1.0, 10.0, math.inf]]
+        )
+        expected = [linear_to_db(x) if x > 0.0 else -math.inf for x in linear.tolist()]
+        assert cli._db_cells(linear).tolist() == expected
 
 
 def test_parser_is_built_once_per_process(tmp_path):

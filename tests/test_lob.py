@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from fblsec.channels import sample_rician, steering_vector, RicianSpec
 from fblsec.lob import (
     LobConfig,
     _an_leakage,
+    _gains,
     _sinr,
     lob_beamformer,
     optimize_an_fraction,
@@ -38,8 +40,8 @@ def _sinr_pair(
     theta = cfg.theta_bob if theta_hat is None else float(theta_hat)
     w = lob_beamformer(theta, cfg.n_antennas)
     return (
-        float(_sinr(np.asarray(h_bob), w, cfg, cfg.noise_power_bob)),
-        float(_sinr(np.asarray(h_eve), w, cfg, cfg.noise_power_eve)),
+        float(_sinr(*_gains(np.asarray(h_bob), w), cfg, cfg.noise_power_bob)),
+        float(_sinr(*_gains(np.asarray(h_eve), w), cfg, cfg.noise_power_eve)),
     )
 
 
@@ -288,6 +290,19 @@ class TestRunLob:
     def test_location_error_must_be_finite_and_nonnegative(self, value):
         with pytest.raises(ValueError, match="location_error_std must be finite and >= 0"):
             make_config(location_error_std=value)
+
+    def test_traced_peak_stays_below_five_channel_arrays(self):
+        # Bob's (trials, N) channel is reduced to its gains before Eve's is drawn.
+        cfg = make_config(location_error_std=math.radians(3.0), trials=200_000)
+        run_lob(make_config(trials=10))
+        tracemalloc.start()
+        try:
+            run_lob(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.k_factor_bob < math.inf and cfg.k_factor_eve < math.inf
+        assert peak < 5 * cfg.trials * cfg.n_antennas * 16
 
 
 class TestZeroSinrMasks:

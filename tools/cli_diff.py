@@ -80,6 +80,11 @@ CASES = [
     # SNRs that underflow to exactly zero
     _one("cipc", "--trials", "5", "--q-target", "5e-324", "--out", "c.csv"),
     _one("cipc", "--trials", "20", "--out=c.csv", "--config=c.cfg"),
+    # each draw branch: every trial suspended, no reciprocity error, no random draw at all
+    _one("cipc", "--trials", "50", "--p-max", "1e-9", "--out", "c.csv"),
+    _one("cipc", "--trials", "200", "--antennas", "4", "--sigma-delta", "0", "--out", "c.csv"),
+    _one("lob", "--trials", "30", "--k-bob", "inf", "--k-eve", "inf", "--loc-error-deg", "0",
+         "--out", "l.csv"),
     _one("lob", "--trials", "30", "--loc-error-deg", "2"),
     _one("lob", "--trials", "200", "--loc-error-deg", "3", "--k-bob", "5", "--an-fraction", "0.4",
          "--out", "l.csv"),
