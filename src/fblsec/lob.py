@@ -181,8 +181,10 @@ class AnOptimum:
 def optimize_an_fraction(cfg: LobConfig, phi_grid) -> AnOptimum:
     """Grid search of the artificial-noise share under common random numbers.
 
-    Maximizes the feasibility probability; every grid point reruns the
-    simulation from the same seed. Ties go to the smaller phi.
+    Maximizes the feasibility probability. The draw does not depend on
+    phi, so it is made once and every grid point scores the same columns;
+    each point's probability equals that of run_lob at that phi. Ties go
+    to the smaller phi.
     """
     phis = [float(phi) for phi in phi_grid]
     if not phis:
@@ -190,8 +192,12 @@ def optimize_an_fraction(cfg: LobConfig, phi_grid) -> AnOptimum:
     for phi in phis:
         if not 0.0 <= phi < 1.0:
             raise ValueError(f"phi grid values must lie in [0, 1), got {phi!r}")
+    _, bob, eve = _draw(cfg)
     curve: list[tuple[float, float]] = []
     for phi in phis:
-        result = run_lob(replace(cfg, an_fraction=phi))
-        curve.append((phi, result.summary.feasibility_prob))
+        point = replace(cfg, an_fraction=phi)
+        sinr_bob = _sinr(*bob, point, cfg.noise_power_bob)
+        sinr_eve = _sinr(*eve, point, cfg.noise_power_eve)
+        a = rate_interval_batch(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
+        curve.append((phi, _mean(a.feasible)))
     return AnOptimum(phi_star=_best(curve), objective_curve=curve)

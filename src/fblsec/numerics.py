@@ -1,7 +1,9 @@
 """Special functions, binomial tails, a root-finder and reproducible random streams.
 
 Everything here is pure: identical inputs (seeds included) give bit-identical
-outputs, no function keeps hidden state, and concurrent use is safe.
+outputs, no function keeps hidden state, and concurrent use is safe. Only the
+binomial sums use scipy.special, imported on their first call, so only the
+BER functions load scipy.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtri
 
 _SQRT2 = math.sqrt(2.0)
 _U64 = 2**64
 #: brent_root's relative tolerance (the smallest SciPy accepts) and iteration cap.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
+#: Constants of Cephes ndtri: sqrt(2 pi), and exp(-2), where its central branch ends.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
 
 
 class UnsatisfiableError(ValueError):
@@ -41,6 +45,7 @@ def q_func_inv(p: float) -> float:
     """Inverse of q_func: the x with Q(x) = p, for p strictly inside (0, 1).
 
     Q^-1(p) = -Phi^-1(p), with the standard normal quantile Phi^-1 from
+    _ndtri, a port of Cephes ndtri that is bit-identical to
     scipy.special.ndtri. q_func(q_func_inv(p)) reproduces p to better than
     1e-9 relative over p in [1e-12, 1 - 1e-12].
     """
@@ -48,7 +53,58 @@ def q_func_inv(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_func_inv requires 0 < p < 1, got {p!r}")
     # 0.0 - x rather than -x, so that p = 0.5 gives +0.0, not -0.0.
-    return 0.0 - float(ndtri(p))
+    return 0.0 - _ndtri(p)
+
+
+def _ndtri(y0: float) -> float:
+    """Standard normal quantile Phi^-1(y0) for 0 < y0 < 1.
+
+    Moshier's Cephes ndtri, as scipy.special.ndtri evaluates it: the same
+    branches, coefficients and Horner order (polevl, and p1evl with its
+    implied leading 1), written out so that each result is bit-identical
+    to SciPy's. Central branch for exp(-2) < y <= 1 - exp(-2); in the tails
+    z = 1/sqrt(-2 log y) with one rational fit for sqrt(-2 log y) < 8 and
+    another beyond.
+    """
+    y = y0
+    negate = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        p = ((((-5.99633501014107895267e1 * y2 + 9.80010754185999661536e1) * y2
+               - 5.66762857469070293439e1) * y2 + 1.39312609387279679503e1) * y2
+             - 1.23916583867381258016e0)
+        q = (((((((y2 + 1.95448858338141759834e0) * y2 + 4.67627912898881538453e0) * y2
+                 + 8.63602421390890590575e1) * y2 - 2.25462687854119370527e2) * y2
+               + 2.00260212380060660359e2) * y2 - 8.20372256168333339912e1) * y2
+             + 1.59056225126211695515e1) * y2 - 1.18331621121330003142e0
+        return (y + y * (y2 * p / q)) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        p = (((((((4.05544892305962419923e0 * z + 3.15251094599893866154e1) * z
+                  + 5.71628192246421288162e1) * z + 4.40805073893200834700e1) * z
+                + 1.46849561928858024014e1) * z + 2.18663306850790267539e0) * z
+              - 1.40256079171354495875e-1) * z - 3.50424626827848203418e-2) * z - 8.57456785154685413611e-4
+        q = (((((((z + 1.57799883256466749731e1) * z + 4.53907635128879210584e1) * z
+                 + 4.13172038254672030440e1) * z + 1.50425385692907503408e1) * z
+               + 2.50464946208309415979e0) * z - 1.42182922854787788574e-1) * z
+             - 3.80806407691578277194e-2) * z - 9.33259480895457427372e-4
+    else:
+        p = (((((((3.23774891776946035970e0 * z + 6.91522889068984211695e0) * z
+                  + 3.93881025292474443415e0) * z + 1.33303460815807542389e0) * z
+                + 2.01485389549179081538e-1) * z + 1.23716634817820021358e-2) * z
+              + 3.01581553508235416007e-4) * z + 2.65806974686737550832e-6) * z + 6.23974539184983293730e-9
+        q = (((((((z + 6.02427039364742014255e0) * z + 3.67983563856160859403e0) * z
+                 + 1.37702099489081330271e0) * z + 2.16236993594496635890e-1) * z
+               + 1.34204006088543189037e-2) * z + 3.28014464682127739104e-4) * z
+             + 2.89247864745380683936e-6) * z + 6.79019408009981274425e-9
+    x = x0 - z * p / q
+    return -x if negate else x
 
 
 def binomial_cdf(k: int, n: int, p: float) -> float:
@@ -70,6 +126,8 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
+    from scipy.special import logsumexp
+
     j = np.arange(k + 1)
     log_pmf = _binomial_log_pmf(j, n, p, _log_binomial_coef(j, n))
     return float(min(1.0, math.exp(logsumexp(log_pmf))))
@@ -77,6 +135,8 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
 
 def _log_binomial_coef(j: np.ndarray, n: int) -> np.ndarray:
     """log C(n, j) from lgamma."""
+    from scipy.special import gammaln
+
     return gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -494,3 +495,37 @@ print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _loaded_scipy_modules(code: str, cwd: Path) -> list[str]:
+    """Run code in a fresh interpreter and return the scipy modules it left loaded."""
+    src = str(Path(fblsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code += "\nimport json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_and_every_command_load_no_scipy(tmp_path):
+    code = f"""
+import contextlib, io, sys
+import fblsec.cli
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'
+for command, argv in {SMALL_ARGV!r}.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fblsec.cli.main([command, *argv, '--out', command + '.csv']) == 0, command
+"""
+    assert _loaded_scipy_modules(code, tmp_path) == []
+    assert len(list(tmp_path.glob("*.csv"))) == len(SMALL_ARGV)
+
+
+def test_ber_security_gap_loads_scipy_special_on_first_call(tmp_path):
+    code = """
+import sys
+import fblsec
+assert 'scipy.special' not in sys.modules
+fblsec.ber_security_gap(fblsec.CodeSpec(127, 10), fblsec.BerThresholds(1e-5, 0.45))
+"""
+    assert "scipy.special" in _loaded_scipy_modules(code, tmp_path)

@@ -381,6 +381,41 @@ class TestOptimizeAnFraction:
         assert values[0] == 1.0 and values[-1] == 0.0
         assert opt.phi_star == 0.0
 
+    @pytest.mark.parametrize(
+        "overrides, grid",
+        [
+            ({"noise_power_bob": 0.5}, [0.25]),
+            ({"noise_power_bob": 0.5, "location_error_std": math.radians(3.0)}, [0.0, 0.3, 0.6]),
+            (
+                {"noise_power_bob": 0.5, "n_antennas": 6, "k_factor_bob": 5.0,
+                 "location_error_std": math.radians(4.0)},
+                [0.05, 0.15, 0.25, 0.35, 0.5, 0.65],
+            ),
+            # No random draw at all: pure LOS both ways and no bearing error.
+            (
+                {"k_factor_bob": math.inf, "k_factor_eve": math.inf, "theta_eve": 0.05},
+                [0.0, 0.1, 0.2, 0.4, 0.8, 0.9, 0.95],
+            ),
+        ],
+    )
+    def test_each_point_equals_run_lob(self, overrides, grid):
+        cfg = make_config(trials=300, **overrides)
+        curve = optimize_an_fraction(cfg, grid).objective_curve
+        assert [phi for phi, _ in curve] == grid
+        for phi, objective in curve:
+            assert objective == run_lob(replace(cfg, an_fraction=phi)).summary.feasibility_prob
+
+    def test_draws_once_per_grid(self, monkeypatch):
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args[0])
+            return sample_rician(*args, **kwargs)
+
+        monkeypatch.setattr("fblsec.lob.sample_rician", counted)
+        optimize_an_fraction(make_config(trials=20), [0.0, 0.3, 0.6])
+        assert len(draws) == 2  # Bob's channel and Eve's, once each
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             optimize_an_fraction(make_config(trials=10), [])

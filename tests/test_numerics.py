@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, error_probability
 from fblsec.numerics import (
     RngSeed,
+    _ndtri,
     binomial_cdf,
     brent_root,
     q_func,
@@ -111,6 +113,49 @@ class TestQFuncInv:
     def test_rejects_boundary(self, bad):
         with pytest.raises(ValueError):
             q_func_inv(bad)
+
+
+def _ndtri_points() -> np.ndarray:
+    """Probe points for _ndtri, fixed before its first run: 20000 each of
+    uniform (0, 1), 10^-u with u uniform in [0, 323] (down to the
+    subnormals) and 1 - 10^-u with u uniform in [0, 16], from
+    default_rng(1906), plus the branch edges and the 64 floats on either
+    side of exp(-32), where the two tail fits meet."""
+    rng = np.random.default_rng(1906)
+    drawn = [
+        rng.uniform(0.0, 1.0, 20000),
+        10.0 ** -rng.uniform(0.0, 323.0, 20000),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20000),
+    ]
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), 5e-324, 0.5, math.nextafter(1.0, 0.0)]
+    edges += [math.nextafter(x, t) for x in edges[:2] for t in (0.0, 1.0)]
+    split = math.exp(-32.0)
+    for toward in (0.0, 1.0):
+        x = split
+        for _ in range(64):
+            edges.append(x)
+            x = math.nextafter(x, toward)
+    points = np.concatenate(drawn + [np.array(edges)])
+    return points[(points > 0.0) & (points < 1.0)]
+
+
+class TestNdtri:
+    def test_bit_identical_to_scipy(self):
+        points = _ndtri_points()
+        central = (points > math.exp(-2.0)) & (points <= 1.0 - math.exp(-2.0))
+        tail = np.minimum(points, 1.0 - points)
+        # Every branch is probed: central, sqrt(-2 log y) < 8, and beyond.
+        assert central.sum() > 1000
+        assert ((~central) & (tail > math.exp(-32.0))).sum() > 1000
+        assert (tail < math.exp(-32.0)).sum() > 1000
+        got = np.array([_ndtri(p) for p in points.tolist()])
+        want = ndtri(points)
+        mismatched = points[got.view(np.uint64) != want.view(np.uint64)]
+        assert mismatched.tolist() == []
+
+    def test_q_func_inv_is_negated_port(self):
+        for p in (5e-324, 1e-300, 1e-20, 1e-6, 0.1, 0.5, 0.9, math.nextafter(1.0, 0.0)):
+            assert q_func_inv(p) == 0.0 - float(ndtri(p))
 
 
 class TestBinomialCdf:

@@ -102,6 +102,11 @@ CASES = [
     _one("optimize-an", "--phi-grid", "0", "0.3", "0.6", "--trials", "40", "--loc-error-deg", "2"),
     _one("optimize-an", "--phi-grid", "0", "0.3", "0.6", "--trials", "40", "--loc-error-deg", "2",
          "--out", "a.csv"),
+    # one draw scored at every grid point
+    _one("optimize-an", "--phi-grid", "0.05", "0.15", "0.25", "0.35", "0.5", "0.65", "--antennas", "6",
+         "--k-bob", "5", "--k-eve", "1", "--loc-error-deg", "4", "--trials", "100", "--out", "a.csv"),
+    _one("optimize-an", "--phi-grid", "0", "0.2", "0.5", "--k-bob", "inf", "--k-eve", "inf",
+         "--loc-error-deg", "0", "--trials", "30", "--out", "a.csv"),
     # error paths
     _one("gap", "--n", "500", "--rate", "99"),
     _one("minblock", "--snr-b-db", "0", "--snr-e-db", "10", "--n-max", "1000", "--out", "m.csv"),
