@@ -19,6 +19,7 @@ import numpy as np
 
 from .fb_coding import SNR_BRACKET_DB, _check_snr, db_to_linear, linear_to_db
 from .numerics import (
+    _SQRT2,
     UnsatisfiableError,
     _as_count,
     _binomial_log_pmf,
@@ -27,6 +28,10 @@ from .numerics import (
     brent_root,
     q_func,
 )
+
+#: np.exp gives exactly 0.0 below this argument (its result underflows
+#: below -745.13), so the BER sum skips exp on such terms.
+_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,13 +120,22 @@ def post_decoding_ber(code: CodeSpec, p: float) -> float:
 
 def _ber_curve(code: CodeSpec) -> Callable[[float], float]:
     """post_decoding_ber(code, .) for a checked p, with every term that does
-    not depend on p (the failure counts j, their log binomial coefficients
-    and their bit-error weights min(n, j + t)) computed once.
+    not depend on p (the failure counts j and n - j, their log binomial
+    coefficients and their bit-error weights min(n, j + t)) computed once,
+    and the buffers its sums use allocated once. The buffers make one curve
+    unsafe to call from two threads at once; every public call builds its
+    own.
     """
     n, t = code.n_bits, code.t
-    j = np.arange(t + 1, n + 1, dtype=float)  # float, so no step converts the counts
-    log_coef = _log_binomial_coef(j, n)
+    counts = np.arange(t + 1, n + 1)
+    log_coef = _log_binomial_coef(counts, n)
+    j = counts.astype(float)  # float, so no step converts the counts
+    n_minus_j = n - j
     weights = np.minimum(n, j + t)
+    size = len(j)
+    terms, scratch = np.empty(size), np.empty(size)
+    live = np.empty(size, dtype=bool)
+    live_reversed = live[::-1]
 
     def ber(p: float) -> float:
         if p == 0.0 or t == n:
@@ -130,26 +144,47 @@ def _ber_curve(code: CodeSpec) -> Callable[[float], float]:
             return p  # uncoded: the sum telescopes to E[X]/n
         if p == 1.0:
             return 1.0  # all n bits flip, decoding fails, min(n, n + t) = n
-        weighted = weights * np.exp(_binomial_log_pmf(j, n, p, log_coef))
-        return float(min(1.0, weighted.sum() / n))
+        _binomial_log_pmf(j, n_minus_j, p, log_coef, terms, scratch)
+        # The terms weights * exp(log pmf), taking exp only from the first
+        # to the last log pmf at or above _EXP_ZERO_BELOW: below it exp is
+        # exactly 0.0, at many times the cost of a normal result. The sum
+        # still runs over the whole buffer, because numpy's pairwise
+        # summation groups the terms by position and length.
+        np.greater_equal(terms, _EXP_ZERO_BELOW, out=live)
+        lo = live.argmax()
+        hi = size - live_reversed.argmax() if live[lo] else lo
+        if lo:
+            terms[:lo] = 0.0
+        if hi < size:
+            terms[hi:] = 0.0
+        kept = terms[lo:hi]
+        np.multiply(weights[lo:hi], np.exp(kept, out=kept), out=kept)
+        return min(1.0, float(np.add.reduce(terms)) / n)
 
     return ber
 
 
+def _crossover_at_db(snr_db: float) -> float:
+    """bsc_crossover(db_to_linear(snr_db)) for snr_db in SNR_BRACKET_DB.
+
+    The same operations without the argument checks, which every SNR of
+    the bracket passes, so a root-find checks nothing per step.
+    """
+    return 0.5 * math.erfc(math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)) / _SQRT2)
+
+
 def _solve_snr_for_ber(
     ber: Callable[[float], float],
+    ends: tuple[float, float],
     target: float,
     want_at_most: bool,
     side: str,
 ) -> tuple[float, bool]:
-    # ber(bsc_crossover(snr)), a code's _ber_curve, is nonincreasing in SNR.
+    # ber(bsc_crossover(snr)), a code's _ber_curve, is nonincreasing in SNR;
+    # ends holds its values at the two ends of the bracket.
     lo_db, hi_db = SNR_BRACKET_DB
     lo, hi = db_to_linear(lo_db), db_to_linear(hi_db)
-
-    def ber_at(snr: float) -> float:
-        return ber(bsc_crossover(snr))
-
-    ber_lo, ber_hi = ber_at(lo), ber_at(hi)
+    ber_lo, ber_hi = ends
     if want_at_most:
         # Smallest SNR with BER <= target (reliability side).
         if ber_lo <= target:
@@ -175,7 +210,7 @@ def _solve_snr_for_ber(
                 f"ceiling at zero SNR is {ceiling:.6g}"
             )
 
-    root_db = brent_root(lambda snr_db: ber_at(db_to_linear(snr_db)) - target,
+    root_db = brent_root(lambda snr_db: ber(_crossover_at_db(snr_db)) - target,
                          lo_db, hi_db, ber_lo - target, ber_hi - target, xtol=1e-12)
     return db_to_linear(root_db), False
 
@@ -188,11 +223,12 @@ def ber_security_gap(code: CodeSpec, thresholds: BerThresholds) -> BerSecurityGa
     side returns the bracket edge with the corresponding flag set.
     """
     ber = _ber_curve(code)
+    ends = tuple(ber(_crossover_at_db(snr_db)) for snr_db in SNR_BRACKET_DB)
     snr_b_min, bob_edge = _solve_snr_for_ber(
-        ber, thresholds.p_ber_max_b, True, "reliability constraint (Bob)"
+        ber, ends, thresholds.p_ber_max_b, True, "reliability constraint (Bob)"
     )
     snr_e_max, eve_edge = _solve_snr_for_ber(
-        ber, thresholds.p_ber_min_e, False, "security constraint (Eve)"
+        ber, ends, thresholds.p_ber_min_e, False, "security constraint (Eve)"
     )
     gap = snr_b_min / snr_e_max
     return BerSecurityGap(

@@ -1,9 +1,11 @@
 """Special functions, binomial tails, a root-finder and reproducible random streams.
 
 Everything here is pure: identical inputs (seeds included) give bit-identical
-outputs, no function keeps hidden state, and concurrent use is safe. Only the
-binomial sums use scipy.special, imported on their first call, so only the
-BER functions load scipy.
+outputs, and concurrent use is safe. The one state kept between calls is a
+table of log k!, grown on demand; it holds values of a pure function, so no
+result depends on what was called before. Only binomial_cdf uses scipy
+(scipy.special.logsumexp, imported on its first call), so of the BER
+functions only be_cdf and block_error_prob load scipy.
 """
 
 from __future__ import annotations
@@ -23,6 +25,16 @@ _BRENT_MAXITER = 100
 #: Constants of Cephes ndtri: sqrt(2 pi), and exp(-2), where its central branch ends.
 _S2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189
+#: Constants of Cephes lgam: log(sqrt(2 pi)), and the coefficients of the
+#: Stirling correction it uses for 13 <= x < 1000, highest power first.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
 
 class UnsatisfiableError(ValueError):
@@ -129,23 +141,91 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
     from scipy.special import logsumexp
 
     j = np.arange(k + 1)
-    log_pmf = _binomial_log_pmf(j, n, p, _log_binomial_coef(j, n))
+    log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
     return float(min(1.0, math.exp(logsumexp(log_pmf))))
 
 
-def _log_binomial_coef(j: np.ndarray, n: int) -> np.ndarray:
-    """log C(n, j) from lgamma."""
-    from scipy.special import gammaln
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for a float array of integers x >= 1.
 
-    return gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
-
-
-def _binomial_log_pmf(j: np.ndarray, n: int, p: float, log_coef: np.ndarray) -> np.ndarray:
-    """log P(X = j) for X ~ Binomial(n, p), 0 < p < 1, given log_coef = log C(n, j).
-
-    The coefficients do not depend on p, so a search over p computes them once.
+    Moshier's Cephes lgam, as scipy.special.gammaln evaluates it, on the
+    integer arguments only: below 13 the log of the exact product
+    (x - 1)!, below 1000 Stirling's series with the 5-term polynomial in
+    1/x^2, and its 3-term form beyond. (Cephes drops the series above 1e8,
+    where it is below half an ulp of the sum and so changes nothing.) The
+    logs come from libm one value at a time (numpy's vectorized log can
+    round differently in the last bit) and the rest is the same correctly
+    rounded arithmetic in the same order, so each result is bit-identical
+    to gammaln's.
     """
-    return log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
+    out = np.empty_like(x)
+    small = x < 13.0
+    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small].tolist()]
+    x = x[~small]
+    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, len(x)) - x + _LS2PI
+    p = 1.0 / (x * x)
+    a0, a1, a2, a3, a4 = _LGAM_A
+    below_1000 = (((a0 * p + a1) * p + a2) * p + a3) * p + a4
+    above_1000 = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    out[~small] = q + np.where(x < 1000.0, below_1000, above_1000) / x
+    return out
+
+
+#: log k! for k = 0, 1, ..., len - 1; _log_factorials grows it, up to
+#: _LOG_FACTORIALS_MAX entries (8 MB).
+_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS_MAX = 2**20
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """A table of log k! = lgamma(k + 1) that covers k = 0 .. n, for n < _LOG_FACTORIALS_MAX.
+
+    The table is shared by every n and grows, at least doubling, when an n
+    beyond it is asked for. Growth builds a new array and then replaces the
+    old one, so a concurrent caller sees either table, and both are right.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= len(table):
+        size = min(max(n + 1, 2 * len(table)), _LOG_FACTORIALS_MAX)
+        table = np.concatenate([table, _lgam(np.arange(len(table) + 1, size + 1, dtype=float))])
+        _LOG_FACTORIALS = table
+    return table
+
+
+def _log_binomial_coef(j: np.ndarray, n: int) -> np.ndarray:
+    """log C(n, j) for an integer array j in [0, n], as log n! - log j! - log (n - j)!.
+
+    Each log k! is read from _log_factorials, or for an n beyond it taken
+    from _lgam directly, so the memory stays bounded by the size of j
+    (binomial_cdf needs only k + 1 terms of a block of any n). Either way
+    the result is bit-identical to
+    gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0).
+    """
+    if n < _LOG_FACTORIALS_MAX:
+        table = _log_factorials(n)
+        return table[n] - table[j] - table[n - j]
+    return _lgam(np.array([n + 1.0]))[0] - _lgam(j + 1.0) - _lgam(n - j + 1.0)
+
+
+def _binomial_log_pmf(
+    j: np.ndarray,
+    n_minus_j: np.ndarray,
+    p: float,
+    log_coef: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """log P(X = j) for X ~ Binomial(n, p), 0 < p < 1, given n - j and log_coef = log C(n, j).
+
+    Evaluates log_coef + j log(p) + (n - j) log1p(-p), left to right. The
+    coefficients do not depend on p, so a search over p computes them once,
+    and with ``out`` and ``scratch`` (float arrays shaped like j) it
+    allocates nothing either; the result is in ``out``.
+    """
+    out = np.multiply(j, math.log(p), out=out)
+    np.add(log_coef, out, out=out)
+    return np.add(out, np.multiply(n_minus_j, math.log1p(-p), out=scratch), out=out)
 
 
 def brent_root(

@@ -207,22 +207,20 @@ def rate_interval_batch(
 def _solve_snr_for_error_prob(
     n: int,
     rate: float,
+    log_term: float,
+    ends: tuple[float, float],
     target: float,
-    cfg: ApproximationConfig,
     side: str,
 ) -> float:
     # error_probability is strictly decreasing in SNR, so the root in the
-    # bracket is unique when it exists. Solved in dB (log-SNR) space.
-    n = fb_coding._check_blocklength(n)
-    rate = fb_coding._check_rate(rate)
-    log_term = fb_coding._log_term(n, cfg)
+    # bracket is unique when it exists. Solved in dB (log-SNR) space; ends
+    # holds the error probabilities at the two ends of the bracket.
     lo_db, hi_db = SNR_BRACKET_DB
 
     def residual(snr_db: float) -> float:
         return fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term) - target
 
-    res_lo = residual(lo_db)
-    res_hi = residual(hi_db)
+    res_lo, res_hi = ends[0] - target, ends[1] - target
     if res_lo < 0.0:
         raise UnsatisfiableError(
             f"{side}: error probability is already below {target} at the "
@@ -247,17 +245,23 @@ def security_gap(
     snr_b_min is the smallest SNR meeting the reliability constraint
     (error probability <= beta_b); snr_e_max is the largest SNR preserving
     the security constraint (error probability >= beta_e). Both come from
-    root-finds of error_probability over SNR_BRACKET_DB; a missing root
-    raises UnsatisfiableError naming the violated side.
+    root-finds of error_probability over SNR_BRACKET_DB, which share its
+    values at the bracket ends; a missing root raises UnsatisfiableError
+    naming the violated side.
     """
     rate = float(rate)
     if not rate > 0.0:
         raise ValueError(f"security_gap requires rate > 0, got {rate!r}")
+    n = fb_coding._check_blocklength(n)
+    rate = fb_coding._check_rate(rate)
+    log_term = fb_coding._log_term(n, cfg)
+    ends = tuple(fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term)
+                 for snr_db in SNR_BRACKET_DB)
     snr_b_min = _solve_snr_for_error_prob(
-        n, rate, constraints.beta_b, cfg, "reliability constraint (Bob)"
+        n, rate, log_term, ends, constraints.beta_b, "reliability constraint (Bob)"
     )
     snr_e_max = _solve_snr_for_error_prob(
-        n, rate, constraints.beta_e, cfg, "security constraint (Eve)"
+        n, rate, log_term, ends, constraints.beta_e, "security constraint (Eve)"
     )
     gap = snr_b_min / snr_e_max
     return SecurityGap(

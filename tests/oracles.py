@@ -182,7 +182,10 @@ def security_gap_search(n, rate, constraints, cfg) -> SecurityGap:
 
 
 def post_decoding_ber_sum(n: int, t: int, p: float) -> float:
-    """post_decoding_ber, every lgamma and weight recomputed for this p."""
+    """post_decoding_ber as the plain formula, recomputed for this p:
+    (w * exp(log C(n, j) + j log(p) + (n - j) log1p(-p))).sum() / n over
+    every j > t, with w = min(n, j + t) and log C(n, j) from
+    scipy.special.gammaln; exp is taken on every term, however small."""
     if p == 0.0 or t == n:
         return 0.0
     if t == 0:

@@ -1,11 +1,14 @@
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fblsec.ber import (
+    _EXP_ZERO_BELOW,
     BerThresholds,
     CodeSpec,
     be_cdf,
@@ -15,13 +18,14 @@ from fblsec.ber import (
     post_decoding_ber,
 )
 from fblsec.fb_coding import db_to_linear
-from fblsec.numerics import UnsatisfiableError
+from fblsec.numerics import UnsatisfiableError, _binomial_log_pmf, _log_binomial_coef
 
 from oracles import (
     ber_security_gap_search,
     binomial_cdf_patterns,
     exact_outcome,
     post_decoding_ber_exact,
+    post_decoding_ber_sum,
     q_oracle,
 )
 
@@ -185,13 +189,73 @@ class TestBerSecurityGap:
 
 
 @st.composite
-def _codes(draw):
+def _codes(draw, n_max=600):
     """Codes with t = 0, t = n, t = n - 1 or any t."""
-    n = draw(st.one_of(st.just(1), st.integers(1, 600)))
+    n = draw(st.one_of(st.just(1), st.integers(1, n_max)))
     kind = draw(st.sampled_from(("uncoded", "all", "all_but_one", "any")))
     if kind == "any":
         return CodeSpec(n, draw(st.integers(0, n)))
     return CodeSpec(n, {"uncoded": 0, "all": n, "all_but_one": n - 1}[kind])
+
+
+#: Codes and flip rates whose log pmf terms fall in the band where exp is
+#: subnormal (-745 < x < -708). In the first two the answer is subnormal
+#: too, from one term at -744.65 and one at -719.97, so that it changes if
+#: such a term is dropped.
+SUBNORMAL_TERMS = [
+    (CodeSpec(2, 1), 2e-162),
+    (CodeSpec(7, 1), 1e-157),
+    (CodeSpec(127, 10), 1e-6),
+    (CodeSpec(300, 2), 0.05),
+    (CodeSpec(1023, 10), 0.2),
+    (CodeSpec(4096, 100), 0.01),
+    (CodeSpec(4096, 400), 0.3),
+]
+
+
+class TestPostDecodingBerMatchesPlainSum:
+    """post_decoding_ber, which skips exp on underflowing terms, against the
+    plain sum over every term."""
+
+    @given(
+        code=_codes(n_max=4096),
+        p=st.one_of(
+            st.sampled_from((0.0, 0.5, 1.0, 5e-324)),
+            st.floats(0.0, 1.0),
+            st.floats(-300.0, 0.0).map(lambda e: 10.0**e),
+            st.floats(-60.0, 60.0).map(lambda db: bsc_crossover(db_to_linear(db))),
+        ),
+    )
+    @example(code=SUBNORMAL_TERMS[0][0], p=SUBNORMAL_TERMS[0][1])
+    @example(code=SUBNORMAL_TERMS[1][0], p=SUBNORMAL_TERMS[1][1])
+    @example(code=SUBNORMAL_TERMS[2][0], p=SUBNORMAL_TERMS[2][1])
+    @example(code=SUBNORMAL_TERMS[3][0], p=SUBNORMAL_TERMS[3][1])
+    @example(code=SUBNORMAL_TERMS[4][0], p=SUBNORMAL_TERMS[4][1])
+    @example(code=SUBNORMAL_TERMS[5][0], p=SUBNORMAL_TERMS[5][1])
+    @example(code=SUBNORMAL_TERMS[6][0], p=SUBNORMAL_TERMS[6][1])
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, code, p):
+        got = post_decoding_ber(code, p)
+        assert got.hex() == post_decoding_ber_sum(code.n_bits, code.t, p).hex()
+
+    @pytest.mark.parametrize("code,p", SUBNORMAL_TERMS)
+    def test_examples_reach_the_subnormal_band(self, code, p):
+        n, t = code.n_bits, code.t
+        j = np.arange(t + 1, n + 1)
+        log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
+        assert ((log_pmf > -745.0) & (log_pmf < -708.0)).any()
+
+    def test_subnormal_answers(self):
+        assert post_decoding_ber(*SUBNORMAL_TERMS[0]) == 5e-324
+        assert 0.0 < post_decoding_ber(*SUBNORMAL_TERMS[1]) < sys.float_info.min
+
+    def test_exp_is_zero_below_the_threshold(self):
+        below = [math.nextafter(_EXP_ZERO_BELOW, -math.inf), -746.5, -800.0, -1e4, -1e300, -math.inf]
+        # Lengths 1 .. 33, so numpy's vector loop and its scalar tail both run.
+        for size in range(1, 34):
+            for x in below:
+                assert np.exp(np.full(size, x)).tolist() == [0.0] * size
+        assert math.copysign(1.0, float(np.exp(np.float64(-746.5)))) == 1.0
 
 
 class TestBerSecurityGapMatchesStepwiseOracle:

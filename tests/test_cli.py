@@ -521,11 +521,14 @@ for command, argv in {SMALL_ARGV!r}.items():
     assert len(list(tmp_path.glob("*.csv"))) == len(SMALL_ARGV)
 
 
-def test_ber_security_gap_loads_scipy_special_on_first_call(tmp_path):
+def test_ber_queries_load_no_scipy_and_be_cdf_loads_scipy_special(tmp_path):
     code = """
 import sys
 import fblsec
-assert 'scipy.special' not in sys.modules
-fblsec.ber_security_gap(fblsec.CodeSpec(127, 10), fblsec.BerThresholds(1e-5, 0.45))
+code = fblsec.CodeSpec(127, 10)
+fblsec.ber_security_gap(code, fblsec.BerThresholds(1e-5, 0.45))
+fblsec.post_decoding_ber(code, 0.01)
+assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'BER queries'
+fblsec.be_cdf(code, 0.01, 10)
 """
     assert "scipy.special" in _loaded_scipy_modules(code, tmp_path)

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 
+from fblsec import numerics
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, error_probability
 from fblsec.numerics import (
     RngSeed,
+    _lgam,
+    _log_binomial_coef,
+    _log_factorials,
     _ndtri,
     binomial_cdf,
     brent_root,
@@ -156,6 +160,56 @@ class TestNdtri:
     def test_q_func_inv_is_negated_port(self):
         for p in (5e-324, 1e-300, 1e-20, 1e-6, 0.1, 0.5, 0.9, math.nextafter(1.0, 0.0)):
             assert q_func_inv(p) == 0.0 - float(ndtri(p))
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    return got.view(np.uint64) == want.view(np.uint64)
+
+
+class TestLgam:
+    """The Cephes lgam port and the log-factorial table against scipy's gammaln."""
+
+    def test_port_bit_identical_on_every_integer_to_2_pow_18(self):
+        x = np.arange(1, 2**18 + 1, dtype=float)
+        assert np.flatnonzero(~_same_bits(_lgam(x), gammaln(x))).tolist() == []
+
+    def test_port_bit_identical_on_integers_up_to_1e12(self):
+        # 200000 integers log-uniform on [1, 1e12] from default_rng(1512),
+        # fixed before the first run, plus the branch edges 12/13,
+        # 999/1000 and 1e8/1e8 + 1 and their neighbours.
+        x = np.floor(10.0 ** np.random.default_rng(1512).uniform(0.0, 12.0, 200000))
+        edges = [e + d for e in (13.0, 1000.0, 1e8 + 1.0) for d in (-2.0, -1.0, 0.0, 1.0)]
+        x = np.concatenate([x, edges, [1e12]])
+        # Every branch is probed: the product and both series, with and
+        # without the series term that Cephes drops above 1e8.
+        assert (x < 13).sum() and ((x >= 13) & (x < 1000)).sum() > 1000
+        assert ((x >= 1000) & (x <= 1e8)).sum() > 1000 and (x > 1e8).sum() > 1000
+        assert x[~_same_bits(_lgam(x), gammaln(x))].tolist() == []
+
+    def test_table_bit_identical_to_gammaln(self):
+        # log k! = gammaln(k + 1) for k = 0 .. 2^18, however far the table
+        # had grown before.
+        table = _log_factorials(2**18)
+        assert len(table) > 2**18
+        k = np.arange(len(table), dtype=float)
+        assert np.flatnonzero(~_same_bits(table, gammaln(k + 1.0))).tolist() == []
+
+    def test_log_binomial_coef_beyond_the_table(self):
+        # An n past the table's cap takes the port directly, and the table
+        # does not grow: binomial_cdf of a few terms of a huge block stays small.
+        for n in (numerics._LOG_FACTORIALS_MAX, numerics._LOG_FACTORIALS_MAX + 5, 10**12):
+            j = np.array([0, 1, 2, 3, 1000, n // 2, n - 1, n])
+            want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+            assert _same_bits(_log_binomial_coef(j, n), want).all(), n
+            assert len(numerics._LOG_FACTORIALS) <= numerics._LOG_FACTORIALS_MAX
+        assert 0.0 < binomial_cdf(3, 10**12, 1e-12) < 1.0
+
+    def test_log_binomial_coef_bit_identical_for_every_n_to_2048(self):
+        for n in range(1, 2049):
+            j = np.arange(n + 1)
+            want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+            mismatched = np.flatnonzero(~_same_bits(_log_binomial_coef(j, n), want))
+            assert mismatched.tolist() == [], n
 
 
 class TestBinomialCdf:

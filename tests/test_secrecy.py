@@ -166,13 +166,13 @@ class TestSecurityGap:
         assert security_gap(500, 1e-5, constraints).snr_b_min == lo
 
     def test_bracket_ends_evaluated_once(self, monkeypatch):
-        # Each of the two searches evaluates its bracket ends once, for the
-        # bracket checks, and hands them to the solver.
+        # The bracket ends are evaluated once, shared by the two searches for
+        # their bracket checks and handed to the solver: 2 + 11 + 11 calls.
         calls = []
         inner = fb_coding._error_probability
         monkeypatch.setattr(fb_coding, "_error_probability", lambda *a: calls.append(a) or inner(*a))
         security_gap(500, 1.0, CP)
-        assert len(calls) == 26
+        assert len(calls) == 24
 
     def test_gap_shrinks_with_blocklength(self):
         gaps = [security_gap(n, 1.0, CP).gap_linear for n in (100, 200, 500, 1000, 2000, 10**6)]
