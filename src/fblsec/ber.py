@@ -26,7 +26,6 @@ from .numerics import (
     _log_binomial_coef,
     binomial_cdf,
     brent_root,
-    q_func,
 )
 
 #: np.exp gives exactly 0.0 below this argument (its result underflows
@@ -83,9 +82,13 @@ class BerSecurityGap:
 
 
 def bsc_crossover(gamma: float) -> float:
-    """Hard-decision bit flip probability Q(sqrt(2*gamma)) for BPSK over AWGN."""
+    """Hard-decision bit flip probability Q(sqrt(2*gamma)) for BPSK over AWGN.
+
+    q_func's formula without its finiteness check, so where 2*gamma
+    overflows (gamma above about 8.99e307) the result is erfc(inf) = 0.0.
+    """
     gamma = _check_snr(gamma)
-    return q_func(math.sqrt(2.0 * gamma))
+    return 0.5 * math.erfc(math.sqrt(2.0 * gamma) / _SQRT2)
 
 
 def _check_prob(p: float, name: str = "p") -> float:

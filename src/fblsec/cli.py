@@ -234,25 +234,6 @@ def _db_cells(linear: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maybe_svg(path: str | None, draw) -> None:
-    if path is None:
-        return
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except Exception as e:  # plotting is best effort, CSV is the contract
-        print(f"warning: skipping SVG output ({e})", file=sys.stderr)
-        return
-    fig, ax = plt.subplots(figsize=(7.0, 4.5))
-    draw(ax)
-    fig.tight_layout()
-    fig.savefig(path, format="svg")
-    plt.close(fig)
-    print(f"wrote plot to {path}")
-
-
 class _Report(NamedTuple):
     """What one command computed, for _emit to print and write."""
 
@@ -264,15 +245,13 @@ class _Report(NamedTuple):
     rows: Iterable[str] = ()
     #: resolved parameters the manifest records in place of the flag values
     overrides: dict | None = None
-    #: draws the optional SVG plot onto a matplotlib axes
-    draw: Callable | None = None
     #: set when the scenario is unsatisfiable: printed to stderr, exit 3,
     #: nothing written
     error: str | None = None
 
 
 def _emit(name: str, out_required: bool, args: argparse.Namespace, report: _Report) -> int:
-    """Print, write the CSV and its manifest, and plot: the same for every command.
+    """Print, and write the CSV and its manifest: the same for every command.
 
     A command whose ``--out`` is optional is a query answered on stdout,
     so it echoes the manifest there too.
@@ -288,8 +267,6 @@ def _emit(name: str, out_required: bool, args: argparse.Namespace, report: _Repo
         count = _write_csv(args.out, report.header, report.rows)
         _write_manifest(args.out, manifest)
         print(f"wrote {count} {'row' if count == 1 else 'rows'} to {args.out}")
-    if report.draw is not None:
-        _maybe_svg(args.svg, report.draw)
     return EXIT_OK
 
 
@@ -360,7 +337,6 @@ def _flag(name: str, kind, default, text: str, **extra) -> tuple[str, dict]:
 _N = _flag("--n", _positive_int, None, "blocklength in channel uses", required=True)
 _SNR_B = _flag("--snr-b-db", float, 10.0, "Bob SNR in dB (default 10)")
 _SNR_E = _flag("--snr-e-db", float, 0.0, "Eve SNR in dB (default 0)")
-_SVG = _flag("--svg", None, None, "optional SVG plot path")
 _CONSTRAINT_FLAGS = (
     _flag("--beta-b", float, 1e-6, "max decoding-error probability at Bob (default 1e-6)"),
     _flag("--beta-e", float, 0.5, "min decoding-error probability at Eve (default 0.5)"),
@@ -421,7 +397,6 @@ def _assessment_cells(a) -> tuple[str, ...]:
     _flag("--rate-min", float, None, "lowest rate (default 0.1 x capacity)"),
     _flag("--rate-max", float, None, "highest rate (default 1.2 x capacity)"),
     _flag("--steps", _positive_int, 200, "points in the rate grid (default 200)"),
-    _SVG,
     out_required=True,
 )
 def _fig2(args) -> _Report:
@@ -440,21 +415,10 @@ def _fig2(args) -> _Report:
         for n in args.n_list
         for r in rates
     ]
-
-    def draw(ax):
-        for n in args.n_list:
-            curve = [eps for m, _, eps in points if m == n]
-            ax.semilogy(rates, curve, label=f"n = {n}")
-        ax.set_xlabel("coding rate [bits/channel use]")
-        ax.set_ylabel("error probability")
-        ax.legend()
-        ax.grid(True, which="both", alpha=0.4)
-
     return _Report(
         header=["n", "rate", "epsilon"],
         rows=_lines((str(n), _sci(rate), _sci(eps)) for n, rate, eps in points),
         overrides={"rate_min": rate_min, "rate_max": rate_max},
-        draw=draw,
     )
 
 
@@ -475,7 +439,6 @@ def _log_spaced_ints(lo: int, hi: int, count: int) -> list[int]:
     _SNR_B,
     _SNR_E,
     *_CONSTRAINT_FLAGS,
-    _SVG,
     out_required=True,
 )
 def _fig3(args) -> _Report:
@@ -484,22 +447,10 @@ def _fig3(args) -> _Report:
     gamma_e = db_to_linear(args.snr_e_db)
     constraints = _constraints(args)
     cfg = _approx(args)
-    assessments = [
-        rate_interval(n, gamma_b, gamma_e, constraints, cfg) for n in n_grid
-    ]
-
-    def draw(ax):
-        ax.semilogx(n_grid, [a.r_sup for a in assessments], label="main-channel rate ceiling")
-        ax.semilogx(n_grid, [a.r_inf for a in assessments], label="eavesdropper rate floor")
-        ax.set_xlabel("blocklength [channel uses]")
-        ax.set_ylabel("coding rate [bits/channel use]")
-        ax.legend()
-        ax.grid(True, which="both", alpha=0.4)
-
+    assessments = [rate_interval(n, gamma_b, gamma_e, constraints, cfg) for n in n_grid]
     return _Report(
         header=["n", "r_b_eps", "r_e_eps", "delta_r", "feasible"],
         rows=_lines((str(n), *_assessment_cells(a)) for n, a in zip(n_grid, assessments)),
-        draw=draw,
     )
 
 

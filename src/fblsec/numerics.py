@@ -3,9 +3,9 @@
 Everything here is pure: identical inputs (seeds included) give bit-identical
 outputs, and concurrent use is safe. The one state kept between calls is a
 table of log k!, grown on demand; it holds values of a pure function, so no
-result depends on what was called before. Only binomial_cdf uses scipy
-(scipy.special.logsumexp, imported on its first call), so of the BER
-functions only be_cdf and block_error_prob load scipy.
+result depends on what was called before. numpy is the only dependency:
+where a result must match scipy.special bit for bit (ndtri, gammaln on
+integers, logsumexp), the steps of its algorithm are written out here.
 """
 
 from __future__ import annotations
@@ -138,11 +138,21 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    from scipy.special import logsumexp
-
     j = np.arange(k + 1)
     log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
-    return float(min(1.0, math.exp(logsumexp(log_pmf))))
+    # log sum exp(log_pmf) by the steps of scipy.special.logsumexp for 1-D
+    # input without weights, so the result is bit-identical to it: the m
+    # maxima are taken out of the shifted sum, which is then divided by m
+    # (scipy skips the division of a zero sum, which gives the same +0.0).
+    # Every term is finite here (0 < p < 1), so its non-finite fallback
+    # never applies.
+    a_max = log_pmf.max()
+    at_max = log_pmf == a_max
+    m = np.count_nonzero(at_max)
+    shifted = np.exp(log_pmf - a_max)
+    shifted[at_max] = 0.0
+    s = np.sum(shifted) / m
+    return float(min(1.0, math.exp(np.log1p(s) + np.log(m) + a_max)))
 
 
 def _lgam(x: np.ndarray) -> np.ndarray:

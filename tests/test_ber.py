@@ -18,7 +18,7 @@ from fblsec.ber import (
     post_decoding_ber,
 )
 from fblsec.fb_coding import db_to_linear
-from fblsec.numerics import UnsatisfiableError, _binomial_log_pmf, _log_binomial_coef
+from fblsec.numerics import UnsatisfiableError, _binomial_log_pmf, _log_binomial_coef, q_func
 
 from oracles import (
     ber_security_gap_search,
@@ -71,6 +71,23 @@ class TestBscCrossover:
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             bsc_crossover(0.0)
+
+    @pytest.mark.parametrize("gamma", [
+        math.nextafter(sys.float_info.max / 2.0, math.inf), 1e308, sys.float_info.max,
+    ])
+    def test_zero_where_twice_the_snr_overflows(self, gamma):
+        assert math.isinf(2.0 * gamma)
+        assert bsc_crossover(gamma) == 0.0
+
+    def test_finite_range_is_q_of_sqrt_2_snr(self):
+        # Below the overflow every value is q_func(sqrt(2 gamma)), bit for bit:
+        # 20000 SNRs log-uniform on [1e-320, 8.9e307] from default_rng(1602),
+        # fixed before the first run, plus the last SNR whose double is finite.
+        gamma = 10.0 ** np.random.default_rng(1602).uniform(-320.0, 307.95, 20000)
+        gamma = [*gamma.tolist(), 5e-324, 1.0, sys.float_info.max / 2.0]
+        assert [bsc_crossover(g).hex() for g in gamma] == [
+            q_func(math.sqrt(2.0 * g)).hex() for g in gamma
+        ]
 
 
 class TestBeCdf:

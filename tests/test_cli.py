@@ -453,6 +453,20 @@ class TestEveryCommand:
         assert "0.0.0" in err and __version__ in err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fig2", "fig3"])
+    def test_manifest_with_the_removed_svg_flag_refused(self, command, tmp_path, capsys):
+        # 0.3.0 recorded svg = PATH in a fig2/fig3 manifest; that flag is
+        # gone, so such a manifest is refused, never replayed without it.
+        a = tmp_path / "a.csv"
+        assert main([command, *SMALL_ARGV[command], "--out", str(a)]) == 0
+        manifest = tmp_path / "a.csv.manifest"
+        manifest.write_text(manifest.read_text() + "svg = f.svg\n")
+        capsys.readouterr()
+        code = main([command, "--config", str(manifest), "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+        assert "unrecognized arguments: --svg f.svg" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.csv.manifest"]
+
     def test_one_row_is_reported_in_the_singular(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(["cipc", "--trials", "1", "--out", str(out)]) == 0
@@ -465,70 +479,116 @@ class TestEveryCommand:
         assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded():
-    code = "import sys, fblsec.cli; print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
-    src = str(Path(fblsec.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+# Run in a fresh interpreter whose importer refuses scipy and records every
+# attempt, so an import that a try/except would swallow still shows.
+_NO_SCIPY = r"""
+import contextlib, dataclasses, io, json, sys
 
+refused = []
 
-def test_queries_and_their_commands_leave_scipy_optimize_and_linalg_unloaded():
-    code = """
-import contextlib, io, sys
-import fblsec
-from fblsec.cli import main
-pair = fblsec.ConstraintPair(1e-6, 0.5)
-fblsec.security_gap(500, 1.0, pair)
-fblsec.ber_security_gap(fblsec.CodeSpec(127, 10), fblsec.BerThresholds(1e-5, 0.45))
-fblsec.min_blocklength(10.0, 1.0, pair)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["gap", "--n", "500", "--rate", "1.0"]) == 0
-    assert main(["minblock"]) == 0
-print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))
-"""
-    src = str(Path(fblsec.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            refused.append(name)
+            raise ImportError(f"scipy is refused here: {name}")
+        return None
 
+sys.meta_path.insert(0, RefuseScipy())
 
-def _loaded_scipy_modules(code: str, cwd: Path) -> list[str]:
-    """Run code in a fresh interpreter and return the scipy modules it left loaded."""
-    src = str(Path(fblsec.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += "\nimport json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_cli_import_and_every_command_load_no_scipy(tmp_path):
-    code = f"""
-import contextlib, io, sys
 import fblsec.cli
-assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'
-for command, argv in {SMALL_ARGV!r}.items():
+for command, argv in SMALL_ARGV.items():
     with contextlib.redirect_stdout(io.StringIO()):
-        assert fblsec.cli.main([command, *argv, '--out', command + '.csv']) == 0, command
+        assert fblsec.cli.main([command, *argv, "--out", command + ".csv"]) == 0, command
+
+import numpy as np
+import fblsec as f
+
+def again(result):
+    # The result's own type, called on the result's fields.
+    if dataclasses.is_dataclass(result):
+        return type(result)(*(getattr(result, x.name) for x in dataclasses.fields(result)))
+    return type(result)(*result)
+
+pair, approx, code = f.ConstraintPair(1e-6, 0.5), f.ApproximationConfig(True), f.CodeSpec(127, 10)
+err, seed, rician = f.ReciprocityError(0.1), f.RngSeed(7), f.RicianSpec(1.0, 0.2, 4)
+cipc = f.CipcConfig(1.0, 10.0, 2, 0.01, 0.1, 500, pair, err, 20, seed, approx)
+lob = f.LobConfig(4, 0.0, 0.35, 0.03, 10.0, 1.0, 1.0, 0.3, 0.01, 0.01, 500, pair, 20, seed, approx)
+thresholds = f.BerThresholds(1e-5, 0.45)
+h = f.sample_rayleigh(2, seed, 3)
+an, q = f.optimize_an_fraction(lob, [0.0, 0.3]), f.optimize_q(cipc, [0.5, 1.0])
+cipc_run, lob_run = f.run_cipc(cipc), f.run_lob(lob)
+ber_gap, gap = f.ber_security_gap(code, thresholds), f.security_gap(500, 1.0, pair)
+bound, one = f.max_rate(500, 1e-6, 10.0), f.rate_interval(500, 10.0, 1.0, pair)
+batch = f.rate_interval_batch(500, np.array([10.0, 0.0]), np.ones(2), pair)
+# What each public callable returned; the types of results are called on
+# the fields of one.
+called = {
+    "AnOptimum": again(an),
+    "ApproximationConfig": approx,
+    "BerSecurityGap": again(ber_gap),
+    "BerThresholds": thresholds,
+    "CipcConfig": cipc,
+    "CipcResult": again(cipc_run),
+    "CipcSummary": again(cipc_run.summary),
+    "CodeSpec": code,
+    "ConstraintPair": pair,
+    "LobConfig": lob,
+    "LobResult": again(lob_run),
+    "LobSummary": again(lob_run.summary),
+    "QOptimum": again(q),
+    "RateBound": again(bound),
+    "RateIntervals": again(batch),
+    "ReciprocityError": err,
+    "RicianSpec": rician,
+    "RngSeed": seed,
+    "SecrecyAssessment": again(one),
+    "SecurityGap": again(gap),
+    "UnsatisfiableError": f.UnsatisfiableError("none"),
+    "apply_reciprocity_error": f.apply_reciprocity_error(h, err, seed),
+    "be_cdf": f.be_cdf(code, 0.01, 10),
+    "ber_security_gap": ber_gap,
+    "binomial_cdf": f.binomial_cdf(3, 10, 0.2),
+    "block_error_prob": f.block_error_prob(code, 0.01),
+    "bsc_crossover": f.bsc_crossover(1e308),
+    "capacity": f.capacity(10.0),
+    "cipc_beamformer": f.cipc_beamformer(h),
+    "cipc_power": f.cipc_power(h, cipc),
+    "db_to_linear": f.db_to_linear(10.0),
+    "dispersion": f.dispersion(10.0),
+    "error_probability": f.error_probability(500, 1.0, 10.0),
+    "linear_to_db": f.linear_to_db(10.0),
+    "lob_beamformer": f.lob_beamformer(0.1, 4),
+    "max_rate": bound,
+    "min_blocklength": f.min_blocklength(10.0, 1.0, pair),
+    "optimize_an_fraction": an,
+    "optimize_q": q,
+    "post_decoding_ber": f.post_decoding_ber(code, 0.01),
+    "q_func": f.q_func(1.0),
+    "q_func_inv": f.q_func_inv(1e-6),
+    "r_inf": f.r_inf(500, 0.5, 1.0),
+    "r_sup": f.r_sup(500, 1e-6, 10.0),
+    "rate_interval": one,
+    "rate_interval_batch": batch,
+    "run_cipc": cipc_run,
+    "run_lob": lob_run,
+    "sample_rayleigh": h,
+    "sample_rician": f.sample_rician(rician, seed, 3),
+    "security_gap": gap,
+    "steering_vector": f.steering_vector(0.2, 4),
+}
+assert all(type(called[x]) is getattr(f, x) for x in called if x[0].isupper())
+assert sorted(called) == sorted(x for x in f.__all__ if callable(getattr(f, x)))
+print(json.dumps(refused))
 """
-    assert _loaded_scipy_modules(code, tmp_path) == []
-    assert len(list(tmp_path.glob("*.csv"))) == len(SMALL_ARGV)
 
 
-def test_ber_queries_load_no_scipy_and_be_cdf_loads_scipy_special(tmp_path):
-    code = """
-import sys
-import fblsec
-code = fblsec.CodeSpec(127, 10)
-fblsec.ber_security_gap(code, fblsec.BerThresholds(1e-5, 0.45))
-fblsec.post_decoding_ber(code, 0.01)
-assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'BER queries'
-fblsec.be_cdf(code, 0.01, 10)
-"""
-    assert "scipy.special" in _loaded_scipy_modules(code, tmp_path)
+def test_package_cli_and_every_public_callable_run_without_scipy(tmp_path):
+    src = str(Path(fblsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = _NO_SCIPY.replace("SMALL_ARGV", repr(SMALL_ARGV))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(c + ".csv" for c in SMALL_ARGV)

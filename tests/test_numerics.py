@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, logsumexp, ndtri
 
 from fblsec import numerics
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, error_probability
 from fblsec.numerics import (
     RngSeed,
+    _binomial_log_pmf,
     _lgam,
     _log_binomial_coef,
     _log_factorials,
@@ -210,6 +211,39 @@ class TestLgam:
             want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
             mismatched = np.flatnonzero(~_same_bits(_log_binomial_coef(j, n), want))
             assert mismatched.tolist() == [], n
+
+
+def _binomial_cases() -> list[tuple[int, int, float]]:
+    """(k, n, p) with 0 <= k < n <= 5000 and 0 < p < 1, which binomial_cdf sums in log space."""
+    # 4000 triples from default_rng(1601), fixed before the first run: n
+    # uniform on 1..5000, k uniform below n, p log-uniform on [1e-12, 1).
+    rng = np.random.default_rng(1601)
+    n = rng.integers(1, 5001, 4000)
+    k = (rng.random(4000) * n).astype(int)
+    p = 10.0 ** rng.uniform(-12.0, 0.0, 4000)
+    cases = [(int(a), int(b), float(c)) for a, b, c in zip(k, n, p) if c < 1.0]
+    # p = 1/2 and odd n: terms j and n - j are equal, so k >= (n + 1)/2 ties the maximum.
+    cases += [(k, n, 0.5) for n in range(1, 200, 2) for k in range((n + 1) // 2, n, 3)]
+    # One term (no sum left beside the maximum), and the largest p below 1.
+    cases += [(0, 1, 0.5), (0, 5000, 1e-12), (0, 5000, 0.3), (4999, 5000, math.nextafter(1.0, 0.0))]
+    return cases
+
+
+class TestLogsumexpPort:
+    """binomial_cdf's logsumexp steps against scipy.special.logsumexp."""
+
+    def test_bit_identical_to_scipy(self):
+        mismatched, tied = [], 0
+        for k, n, p in _binomial_cases():
+            j = np.arange(k + 1)
+            log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
+            tied += np.count_nonzero(log_pmf == log_pmf.max()) > 1
+            want = min(1.0, math.exp(logsumexp(log_pmf)))
+            if binomial_cdf(k, n, p).hex() != want.hex():
+                mismatched.append((k, n, p))
+        # The tied-maximum step (m > 1) is probed, not just m = 1.
+        assert tied > 1000
+        assert mismatched == []
 
 
 class TestBinomialCdf:
