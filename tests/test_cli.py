@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -401,6 +403,187 @@ class TestSimulatorCsvFromColumns:
         )
         expected = [linear_to_db(x) if x > 0.0 else -math.inf for x in linear.tolist()]
         assert cli._db_cells(linear).tolist() == expected
+
+
+def cell_texts(cells):
+    """The text of each cell the kernel wrote, with its trailing comma."""
+    return [c.tobytes().replace(b"\0", b"").decode() for c in cells.reshape(-1, 3)]
+
+
+def kernel_cells(x):
+    x = np.asarray(x, dtype=float)
+    cells = np.zeros((*x.shape, 3), np.uint64)
+    cli._SciCells(x.shape)(x, cells)
+    return cell_texts(cells)
+
+
+def reference_cells(x):
+    return [f"{v:.12e}," for v in np.asarray(x, dtype=float).ravel().tolist()]
+
+
+@pytest.fixture
+def sci_calls(monkeypatch):
+    """The values that reach cli._sci, the kernel's fallback, while the test runs."""
+    calls = []
+
+    def sci(x):
+        calls.append(float(x))
+        return f"{float(x):.12e}"
+
+    monkeypatch.setattr(cli, "_sci", sci)
+    return calls
+
+
+def _midpoints(rng, count):
+    # d.dddddddddddd5e±k: exactly halfway between two 13-digit decimals
+    mantissas = rng.integers(10**12, 10**13, count).tolist()
+    exponents = rng.integers(-320, 309, count).tolist()
+    values = np.array([float(f"{m}5e{k - 12}") for m, k in zip(mantissas, exponents)])
+    return values[np.isfinite(values) & (values != 0.0)]
+
+
+class TestSciKernel:
+    """The array kernel's cells equal '%.12e' % x, string for string."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261)
+        x = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        x = x[np.isfinite(x)]
+        assert kernel_cells(x) == reference_cells(x)
+
+    def test_subnormals_and_the_ends_of_the_range(self):
+        rng = np.random.default_rng(20262)
+        subnormals = rng.integers(1, 2**52, 5000, dtype=np.uint64).view(np.float64)
+        tiny, huge = 5e-324, sys.float_info.max
+        x = np.concatenate([subnormals, -subnormals, [tiny, -tiny, huge, -huge, sys.float_info.min,
+                                                     np.nextafter(sys.float_info.min, 0.0)]])
+        assert kernel_cells(x) == reference_cells(x)
+
+    def test_decimal_midpoints_and_their_neighbours(self, sci_calls):
+        mids = _midpoints(np.random.default_rng(20263), 20_000)
+        x = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+        x = np.concatenate([x, -x])
+        assert kernel_cells(x) == reference_cells(x)
+        # the midpoints that lie within the tie margin take the fallback
+        assert 0 < len(sci_calls) < len(x) / 2
+
+    def test_exact_ties_round_to_even(self, sci_calls):
+        # 14-digit integers ending in 5, and 13-digit ones plus one half, are
+        # exact doubles halfway between two 13-digit decimals
+        m = np.random.default_rng(20266).integers(10**12, 10**13, 2000)
+        x = np.concatenate([m * 10.0 + 5.0, m + 0.5])
+        x = np.concatenate([x, -x])
+        assert kernel_cells(x) == reference_cells(x)
+        assert len(sci_calls) >= 4 * len(m)
+
+    def test_powers_of_ten_and_the_carry(self):
+        k = np.arange(-323, 309)
+        powers = np.array([float(f"1e{j}") for j in k])
+        carries = np.array([float(f"9.9999999999995e{j}") for j in k[:-1]])
+        x = np.concatenate([powers, 10.0 ** k[k > -300], np.nextafter(powers, 0.0),
+                            np.nextafter(powers, np.inf), carries, np.nextafter(carries, 0.0),
+                            np.nextafter(carries, np.inf)])
+        x = np.concatenate([x, -x])
+        assert kernel_cells(x) == reference_cells(x)
+
+    def test_three_digit_exponents_and_literals(self, sci_calls):
+        x = np.array([1e100, -2.5e-100, 1.234567890123e250, 9.87654321e-250, 1e-278, 9.9e278,
+                      0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+        assert kernel_cells(x) == reference_cells(x)
+        literal = {"0.000000000000e+00,", "-0.000000000000e+00,", "inf,", "-inf,", "nan,"}
+        assert set(kernel_cells(x[6:])) == literal
+        assert sci_calls == []
+
+    def test_a_block_shape_and_reused_buffers(self):
+        rng = np.random.default_rng(20264)
+        kernel = cli._SciCells((64, 6))
+        for rows in (64, 17, 1):
+            x = rng.normal(0.0, 10.0, (rows, 6)) * 10.0 ** rng.integers(-20, 20, (rows, 6))
+            cells = np.zeros((rows, 6, 3), np.uint64)
+            kernel(x, cells)
+            assert cell_texts(cells) == reference_cells(x)
+
+    @pytest.mark.filterwarnings("ignore:beta_e=1.0")
+    @pytest.mark.parametrize(
+        "argv, literals",
+        [
+            (["lob", "--an-fraction", "1.0"], {"-inf", "0.000000000000e+00"}),
+            (["cipc", "--beta-e", "1.0"], {"inf", "-inf"}),
+        ],
+    )
+    def test_simulator_literals_take_no_fallback(self, argv, literals, sci_calls, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main([*argv, "--trials", "5000", "--out", str(out)]) == 0
+        cells = {cell for line in out.read_text().splitlines()[1:] for cell in line.split(",")}
+        assert literals <= cells
+        assert sci_calls == []
+
+
+def _fake_cipc_result(rng, sent):
+    count = int(np.count_nonzero(sent))
+    gamma = rng.exponential(3.0, (2, count))
+    gamma[:, ::7] = 0.0
+    a = SimpleNamespace(**{name: rng.normal(size=count) for name in ("r_sup", "r_inf", "delta_r")},
+                        feasible=rng.random(count) < 0.5)
+    return SimpleNamespace(sent=sent, p_t=rng.exponential(size=count), gamma_b=gamma[0],
+                           gamma_e=gamma[1], assessment=a)
+
+
+def _csv_lines(blocks):
+    return b"".join(block for block, _ in blocks).decode().splitlines()
+
+
+class TestSimulatorRowAssembly:
+    """Rows built a block at a time against the per-cell reference above."""
+
+    def test_trial_ids_at_every_decimal_width(self):
+        ids = sorted({0, 1, 2**32 - 2, 2**32 - 1} | {10**k + d for k in range(1, 10) for d in (-1, 0)})
+        chars = np.zeros((len(ids), 12), np.uint8)
+        cli._id_cells(np.array(ids), chars)
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in chars] == [str(i) for i in ids]
+
+    @pytest.mark.parametrize("offset, last_blocks", [(-1, [-1]), (0, [0]), (1, [0, 1 - cli._BLOCK_TRIALS])])
+    def test_trial_counts_around_a_block(self, offset, last_blocks, tmp_path):
+        argv = ["cipc", "--trials", str(2 * cli._BLOCK_TRIALS + offset), "--antennas", "4",
+                "--p-max", "0.4", "--sigma-delta", "0.1"]
+        out = tmp_path / "c.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        args = cli._build_parser().parse_args(argv)
+        result = run_cipc(cli._cipc_config(args, args.q_target))
+        assert read(out).decode().splitlines()[1:] == _cipc_lines(result)
+        # rows per block, less the block size
+        rows = [count - cli._BLOCK_TRIALS for _, count in cli._cipc_rows(result)]
+        assert rows == [0, *last_blocks]
+
+    def test_a_block_of_suspended_trials_between_mixed_ones(self):
+        rng = np.random.default_rng(20265)
+        b = cli._BLOCK_TRIALS
+        sent = rng.random(3 * b + 5) < 0.7
+        sent[b:2 * b] = False
+        sent[-3:] = True
+        result = _fake_cipc_result(rng, sent)
+        assert _csv_lines(cli._cipc_rows(result)) == _cipc_lines(result)
+        sent[:] = False
+        result = _fake_cipc_result(rng, sent)
+        assert _csv_lines(cli._cipc_rows(result)) == _cipc_lines(result)
+
+    def test_memory_is_set_by_the_block_not_the_trial_count(self):
+        def peak(trials):
+            cfg = cli._cipc_config(cli._build_parser().parse_args(
+                ["cipc", "--trials", str(trials), "--antennas", "4", "--p-max", "0.4",
+                 "--sigma-delta", "0.05"]), 1.0)
+            result = run_cipc(cfg)
+            tracemalloc.start()
+            try:
+                for _ in cli._cipc_rows(result):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # builds the kernel's tables, which are kept
+        small, large = peak(20_000), peak(200_000)
+        assert large - small < 64 * 1024
 
 
 def test_parser_is_built_once_per_process(tmp_path):

@@ -93,6 +93,16 @@ CASES = [
     _one("lob", "--trials", "50", "--out", "l.csv"),
     _one("lob", "--trials", "40", "--antennas", "8", "--k-bob", "inf", "--loc-error-deg", "1",
          "--out", "l.csv"),
+    # edges of the CSV cell kernel: huge and tiny magnitudes, three-digit
+    # exponents, trial counts at a multiple of the 1024-trial block and
+    # either side of it, and a large run
+    _one("lob", "--trials", "300", "--noise-e", "1e200", "--out", "l.csv"),
+    _one("lob", "--trials", "300", "--loc-error-deg", "1e-200", "--out", "l.csv"),
+    _one("cipc", "--trials", "300", "--q-target", "1e-200", "--p-max", "1e-199", "--out", "c.csv"),
+    _one("cipc", "--trials", "1023", "--antennas", "4", "--p-max", "0.4", "--out", "c.csv"),
+    _one("cipc", "--trials", "2048", "--antennas", "4", "--p-max", "0.4", "--out", "c.csv"),
+    _one("cipc", "--trials", "2049", "--antennas", "4", "--p-max", "0.4", "--out", "c.csv"),
+    _one("cipc", "--trials", "200000", "--antennas", "4", "--sigma-delta", "0.05", "--out", "c.csv"),
     _one("optimize-q", "--q-grid", "0.5", "1", "2", "--trials", "60"),
     _one("optimize-q", "--q-grid", "0.5", "1", "2", "--trials", "60", "--out", "q.csv"),
     _one("optimize-q", "--q-grid", "1", "--trials", "10", "--out", "q.csv"),
