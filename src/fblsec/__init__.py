@@ -73,7 +73,7 @@ from .secrecy import (
     security_gap,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ApproximationConfig",

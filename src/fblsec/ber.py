@@ -68,9 +68,10 @@ class BerThresholds:
 class BerSecurityGap:
     """SNR thresholds from BER constraints and their ratio.
 
-    ``bob_at_bracket_edge`` / ``eve_at_bracket_edge`` mark thresholds that
-    were met everywhere on the corresponding side of the search bracket,
-    so the returned SNR is the bracket boundary rather than a root.
+    ``bob_at_bracket_edge`` / ``eve_at_bracket_edge`` mark a threshold met at
+    the low end of the search bracket (Bob's BER is already low enough there,
+    or Eve's floor is reached only at zero SNR), so the returned SNR is that
+    end, not a root. At the high end every code's BER is exactly 0.
     """
 
     snr_b_min: float
@@ -184,34 +185,26 @@ def _solve_snr_for_ber(
     side: str,
 ) -> tuple[float, bool]:
     # ber(bsc_crossover(snr)), a code's _ber_curve, is nonincreasing in SNR;
-    # ends holds its values at the two ends of the bracket.
+    # ends holds its values at the two bracket ends, the high one exactly 0.0.
     lo_db, hi_db = SNR_BRACKET_DB
-    lo, hi = db_to_linear(lo_db), db_to_linear(hi_db)
+    lo = db_to_linear(lo_db)
     ber_lo, ber_hi = ends
     if want_at_most:
         # Smallest SNR with BER <= target (reliability side).
         if ber_lo <= target:
             return lo, True
-        if ber_hi > target:
-            raise UnsatisfiableError(
-                f"{side}: post-decoding BER stays above {target} across the "
-                f"whole SNR bracket [{lo_db}, {hi_db}] dB"
-            )
-    else:
-        # Largest SNR with BER >= target (security side).
-        if ber_hi >= target:
-            return hi, True
-        if ber_lo < target:
-            # The BER ceiling is its zero-SNR limit (flip rate 1/2); the
-            # 1e-12 slack absorbs the lgamma rounding of that sum.
-            ceiling = ber(0.5)
-            if target <= ceiling + 1e-12:
-                # Attained only in the zero-SNR limit, below the bracket.
-                return lo, True
-            raise UnsatisfiableError(
-                f"{side}: post-decoding BER never reaches {target}; its "
-                f"ceiling at zero SNR is {ceiling:.6g}"
-            )
+    elif ber_lo < target:
+        # Largest SNR with BER >= target (security side), below the bracket.
+        # The BER ceiling is its zero-SNR limit (flip rate 1/2); the 1e-12
+        # slack absorbs the lgamma rounding of that sum.
+        ceiling = ber(0.5)
+        if target <= ceiling + 1e-12:
+            # Attained only in the zero-SNR limit.
+            return lo, True
+        raise UnsatisfiableError(
+            f"{side}: post-decoding BER never reaches {target}; its "
+            f"ceiling at zero SNR is {ceiling:.6g}"
+        )
 
     root_db = brent_root(lambda snr_db: ber(_crossover_at_db(snr_db)) - target,
                          lo_db, hi_db, ber_lo - target, ber_hi - target, xtol=1e-12)

@@ -209,12 +209,9 @@ def _lines(rows: Iterable[tuple[str, ...]]) -> Iterator[tuple[bytes, int]]:
 
 
 def _db_cells(linear: np.ndarray) -> np.ndarray:
-    """linear_to_db of each value, -inf for zero. math.log10 per value, since numpy's
-    log10 differs from it in the last bit on some values; the product by 10.0 does not."""
-    positive = linear > 0.0
-    out = np.full(len(linear), -math.inf)
-    out[positive] = np.fromiter(map(math.log10, linear[positive].tolist()), float) * 10.0
-    return out
+    """linear_to_db of each value, by the same np.log10, and -inf for zero."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(linear)
 
 
 # ----------------------------------------------------------------------

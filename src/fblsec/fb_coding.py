@@ -1,7 +1,9 @@
 """Finite-blocklength coding quantities for the AWGN channel.
 
-Normal-approximation family: capacity C(g) = log2(1 + g), dispersion
-V(g) = (1 - (1+g)^-2) * (log2 e)^2, block error probability
+Normal-approximation family: capacity C(g) = log2(1 + g) = log1p(g) log2 e,
+dispersion V(g) = (1 - (1+g)^-2) (log2 e)^2 = -expm1(-2 log1p(g)) (log2 e)^2
+(the forms evaluated, which stay positive where 1 + g rounds to 1), block
+error probability
 
     eps(n, R, g) = Q( sqrt(n / V) * (C - R + delta) ),
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -59,11 +60,11 @@ def db_to_linear(db: float) -> float:
 
 
 def linear_to_db(linear: float) -> float:
-    """Convert a positive linear power ratio to dB."""
+    """Convert a positive linear power ratio to dB, by numpy's log10 as cli._db_cells."""
     linear = float(linear)
     if not linear > 0.0:
         raise ValueError(f"dB conversion requires a positive ratio, got {linear!r}")
-    return 10.0 * math.log10(linear)
+    return float(10.0 * np.log10(linear))
 
 
 def _check_snr(gamma: float) -> float:
@@ -106,8 +107,8 @@ def _cv(gamma: float) -> tuple[float, float]:
     The one scalar copy of both formulas; _rate_bound_batch repeats them
     over arrays with the same libm calls.
     """
-    one_plus = 1.0 + gamma
-    return math.log2(one_plus), (1.0 - one_plus**-2) * DISPERSION_LIMIT
+    log_one_plus = math.log1p(gamma)
+    return log_one_plus * LOG2_E, -math.expm1(-2.0 * log_one_plus) * DISPERSION_LIMIT
 
 
 def _rate_bound(n: int, eps: float, gamma: float, cfg: ApproximationConfig) -> float:
@@ -123,15 +124,14 @@ def _rate_from(n: int, cap: float, disp: float, q_inv: float, log_term: float) -
 def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, cfg: ApproximationConfig) -> np.ndarray:
     """_rate_bound over an SNR array, bit-identical to it value by value.
 
-    C and V take the scalar functions' libm calls one value at a time
-    (numpy's vectorized log2 and pow round differently in the last bit);
-    the rest is the same correctly rounded arithmetic in the same order.
+    C and V take _cv's libm calls one value at a time (numpy's vectorized
+    log1p and expm1 can round differently in the last bit); the rest is the
+    same correctly rounded arithmetic in the same order.
     """
-    one_plus = (1.0 + gamma).ravel().tolist()
-    cap = np.fromiter(map(math.log2, one_plus), float, len(one_plus)).reshape(gamma.shape)
-    inv_sq = np.fromiter(map(pow, one_plus, repeat(-2.0)), float, len(one_plus))
-    disp = (1.0 - inv_sq.reshape(gamma.shape)) * DISPERSION_LIMIT
-    return cap - np.sqrt(disp / n) * q_func_inv(eps) + _log_term(n, cfg)
+    log_one_plus = np.fromiter(map(math.log1p, gamma.ravel().tolist()), float, gamma.size)
+    disp = -np.fromiter(map(math.expm1, (-2.0 * log_one_plus).tolist()), float, gamma.size) * DISPERSION_LIMIT
+    rate = log_one_plus * LOG2_E - np.sqrt(disp / n) * q_func_inv(eps) + _log_term(n, cfg)
+    return rate.reshape(gamma.shape)
 
 
 def capacity(gamma: float) -> float:
@@ -142,7 +142,7 @@ def capacity(gamma: float) -> float:
 def dispersion(gamma: float) -> float:
     """Channel dispersion V(gamma) = (1 - (1+gamma)^-2) * (log2 e)^2.
 
-    Strictly increasing in gamma, with range (0, (log2 e)^2).
+    Nondecreasing in gamma, with range (0, (log2 e)^2].
     """
     return _cv(_check_snr(gamma))[1]
 

@@ -4,8 +4,8 @@ Everything here is pure: identical inputs (seeds included) give bit-identical
 outputs, and concurrent use is safe. The one state kept between calls is a
 table of log k!, grown on demand; it holds values of a pure function, so no
 result depends on what was called before. numpy is the only dependency:
-where a result must match scipy.special bit for bit (ndtri, gammaln on
-integers, logsumexp), the steps of its algorithm are written out here.
+the normal quantile must match scipy.special.ndtri bit for bit, so the
+steps of its algorithm are written out here.
 """
 
 from __future__ import annotations
@@ -25,16 +25,6 @@ _BRENT_MAXITER = 100
 #: Constants of Cephes ndtri: sqrt(2 pi), and exp(-2), where its central branch ends.
 _S2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189
-#: Constants of Cephes lgam: log(sqrt(2 pi)), and the coefficients of the
-#: Stirling correction it uses for 13 <= x < 1000, highest power first.
-_LS2PI = 0.91893853320467274178
-_LGAM_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
 
 
 class UnsatisfiableError(ValueError):
@@ -140,45 +130,13 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 0.0
     j = np.arange(k + 1)
     log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
-    # log sum exp(log_pmf) by the steps of scipy.special.logsumexp for 1-D
-    # input without weights, so the result is bit-identical to it: the m
-    # maxima are taken out of the shifted sum, which is then divided by m
-    # (scipy skips the division of a zero sum, which gives the same +0.0).
-    # Every term is finite here (0 < p < 1), so its non-finite fallback
-    # never applies.
+    # log sum exp(log_pmf), shifted by the largest term so that none overflows.
     a_max = log_pmf.max()
-    at_max = log_pmf == a_max
-    m = np.count_nonzero(at_max)
-    shifted = np.exp(log_pmf - a_max)
-    shifted[at_max] = 0.0
-    s = np.sum(shifted) / m
-    return float(min(1.0, math.exp(np.log1p(s) + np.log(m) + a_max)))
+    return min(1.0, math.exp(a_max + math.log(np.exp(log_pmf - a_max).sum())))
 
 
-def _lgam(x: np.ndarray) -> np.ndarray:
-    """log Gamma(x) for a float array of integers x >= 1.
-
-    Moshier's Cephes lgam, as scipy.special.gammaln evaluates it, on the
-    integer arguments only: below 13 the log of the exact product
-    (x - 1)!, below 1000 Stirling's series with the 5-term polynomial in
-    1/x^2, and its 3-term form beyond. (Cephes drops the series above 1e8,
-    where it is below half an ulp of the sum and so changes nothing.) The
-    logs come from libm one value at a time (numpy's vectorized log can
-    round differently in the last bit) and the rest is the same correctly
-    rounded arithmetic in the same order, so each result is bit-identical
-    to gammaln's.
-    """
-    out = np.empty_like(x)
-    small = x < 13.0
-    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small].tolist()]
-    x = x[~small]
-    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, len(x)) - x + _LS2PI
-    p = 1.0 / (x * x)
-    a0, a1, a2, a3, a4 = _LGAM_A
-    below_1000 = (((a0 * p + a1) * p + a2) * p + a3) * p + a4
-    above_1000 = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-    out[~small] = q + np.where(x < 1000.0, below_1000, above_1000) / x
-    return out
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
 
 
 #: log k! for k = 0, 1, ..., len - 1; _log_factorials grows it, up to
@@ -198,7 +156,7 @@ def _log_factorials(n: int) -> np.ndarray:
     table = _LOG_FACTORIALS
     if n >= len(table):
         size = min(max(n + 1, 2 * len(table)), _LOG_FACTORIALS_MAX)
-        table = np.concatenate([table, _lgam(np.arange(len(table) + 1, size + 1, dtype=float))])
+        table = np.concatenate([table, _lgamma(np.arange(len(table) + 1, size + 1, dtype=float))])
         _LOG_FACTORIALS = table
     return table
 
@@ -207,15 +165,15 @@ def _log_binomial_coef(j: np.ndarray, n: int) -> np.ndarray:
     """log C(n, j) for an integer array j in [0, n], as log n! - log j! - log (n - j)!.
 
     Each log k! is read from _log_factorials, or for an n beyond it taken
-    from _lgam directly, so the memory stays bounded by the size of j
+    from math.lgamma directly, so the memory stays bounded by the size of j
     (binomial_cdf needs only k + 1 terms of a block of any n). Either way
     the result is bit-identical to
-    gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0).
+    lgamma(n + 1.0) - lgamma(j + 1.0) - lgamma(n - j + 1.0).
     """
     if n < _LOG_FACTORIALS_MAX:
         table = _log_factorials(n)
         return table[n] - table[j] - table[n - j]
-    return _lgam(np.array([n + 1.0]))[0] - _lgam(j + 1.0) - _lgam(n - j + 1.0)
+    return math.lgamma(n + 1.0) - _lgamma(j + 1.0) - _lgamma(n - j + 1.0)
 
 
 def _binomial_log_pmf(
@@ -304,8 +262,17 @@ def _as_count(value, name: str) -> int:
 
 
 def _mean(column: np.ndarray) -> float:
-    """Mean of a simulator column summed left to right as Python floats; nan if empty."""
-    return sum(column.tolist()) / len(column) if len(column) else math.nan
+    """Mean of a simulator column, nan if empty: the share of true entries of a
+    boolean column, else the math.fsum sum, rounded once, over the length."""
+    n = len(column)
+    if not n:
+        return math.nan
+    if column.dtype == bool:
+        return np.count_nonzero(column) / n
+    try:
+        return math.fsum(column.tolist()) / n
+    except OverflowError:  # a partial sum passed the largest double; 2^-64 scales it exactly
+        return math.fsum(np.ldexp(column, -64).tolist()) / n * 2.0**64
 
 
 def _best(curve: list[tuple[float, float]]) -> float:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammaincc
 
 from fblsec import fb_coding
 from fblsec.ber import BerSecurityGap, bsc_crossover
@@ -184,8 +184,8 @@ def security_gap_search(n, rate, constraints, cfg) -> SecurityGap:
 def post_decoding_ber_sum(n: int, t: int, p: float) -> float:
     """post_decoding_ber as the plain formula, recomputed for this p:
     (w * exp(log C(n, j) + j log(p) + (n - j) log1p(-p))).sum() / n over
-    every j > t, with w = min(n, j + t) and log C(n, j) from
-    scipy.special.gammaln; exp is taken on every term, however small."""
+    every j > t, with w = min(n, j + t) and log C(n, j) from math.lgamma,
+    as the package takes it; exp is taken on every term, however small."""
     if p == 0.0 or t == n:
         return 0.0
     if t == 0:
@@ -193,10 +193,11 @@ def post_decoding_ber_sum(n: int, t: int, p: float) -> float:
     if p == 1.0:
         return 1.0
     j = np.arange(t + 1, n + 1)
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
     log_pmf = (
-        gammaln(n + 1.0)
-        - gammaln(j + 1.0)
-        - gammaln(n - j + 1.0)
+        math.lgamma(n + 1.0)
+        - lgamma(j + 1.0)
+        - lgamma(n - j + 1.0)
         + j * math.log(p)
         + (n - j) * math.log1p(-p)
     )

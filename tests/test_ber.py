@@ -11,13 +11,15 @@ from fblsec.ber import (
     _EXP_ZERO_BELOW,
     BerThresholds,
     CodeSpec,
+    _ber_curve,
+    _crossover_at_db,
     be_cdf,
     ber_security_gap,
     block_error_prob,
     bsc_crossover,
     post_decoding_ber,
 )
-from fblsec.fb_coding import db_to_linear
+from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear
 from fblsec.numerics import UnsatisfiableError, _binomial_log_pmf, _log_binomial_coef, q_func
 
 from oracles import (
@@ -103,6 +105,13 @@ class TestBeCdf:
         for k in range(8):
             assert be_cdf(HAMMING, 0.0, k) == 1.0
 
+    @pytest.mark.parametrize("p", [1.5, math.nan])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            be_cdf(HAMMING, p, 1)
+        with pytest.raises(ValueError, match="p must lie in"):
+            post_decoding_ber(HAMMING, p)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             be_cdf(HAMMING, 0.1, 8)
@@ -163,6 +172,14 @@ class TestPostDecodingBer:
 
 
 class TestBerSecurityGap:
+    @pytest.mark.parametrize("code", [CodeSpec(1, 0), CodeSpec(7, 1), CodeSpec(2047, 0),
+                                      CodeSpec(2047, 100), CodeSpec(5, 5)])
+    def test_ber_is_zero_at_the_high_bracket_end(self, code):
+        # Every BER target exceeds 0, so the searches never meet the high end
+        # as an edge; a wider bracket would have to handle it.
+        assert _crossover_at_db(SNR_BRACKET_DB[1]) == 0.0
+        assert _ber_curve(code)(0.0) == 0.0
+
     def test_uncoded_eve_threshold_at_bracket_edge(self):
         # Uncoded BER reaches 0.5 only at zero SNR, below the bracket.
         result = ber_security_gap(CodeSpec(31, 0), BerThresholds(1e-3, 0.5))

@@ -121,6 +121,14 @@ class TestMetricCommands:
         assert "feasible = false" in out
         assert "delta_r = -" in out
 
+    def test_snrs_where_one_plus_gamma_rounds_to_one(self, capsys):
+        # At -160 dB both rate bounds are slightly negative: Bob's ceiling is
+        # clamped to 0 and Eve's floor is positive, so no rate is secure.
+        assert main(["interval", "--n", "500", "--snr-b-db", "-160", "--snr-e-db", "-160"]) == 0
+        assert "feasible = false" in capsys.readouterr().out
+        assert main(["lob", "--trials", "200", "--noise-b", "1e20", "--noise-e", "1e20"]) == 0
+        assert "feasibility_prob = 0.000000" in capsys.readouterr().out
+
     def test_gap_eve_threshold_anchor(self, capsys):
         assert main(["gap", "--n", "500", "--rate", "1.0"]) == 0
         out = capsys.readouterr().out
@@ -333,7 +341,7 @@ def _sci(x):
 
 
 def _db(x):
-    return _sci(10.0 * math.log10(x)) if x > 0.0 else "-inf"
+    return _sci(linear_to_db(x)) if x > 0.0 else "-inf"
 
 
 def _assessment(a, k):

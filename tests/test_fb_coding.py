@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fblsec import fb_coding
 from fblsec.fb_coding import (
     ApproximationConfig,
     DISPERSION_LIMIT,
+    LOG2_E,
     RateBound,
     capacity,
     db_to_linear,
@@ -73,6 +75,30 @@ class TestDispersion:
         values = [dispersion(float(g)) for g in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 < v < DISPERSION_LIMIT for v in values)
+
+
+class TestCapacityAndDispersionRange:
+    """C and V where 1 + gamma rounds to 1, and across the whole double range."""
+
+    def test_tiny_snr_limits(self):
+        # C ~ gamma log2 e and V ~ 2 gamma (log2 e)^2 below 2^-60, where
+        # log1p(gamma) and expm1(-2 log1p(gamma)) are exact to the last bit.
+        gamma = np.geomspace(1e-300, 2.0**-60, 2000)
+        cv = np.array([fb_coding._cv(g) for g in gamma.tolist()])
+        np.testing.assert_allclose(cv[:, 0] / gamma, LOG2_E, rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(cv[:, 1] / gamma, 2.0 * DISPERSION_LIMIT, rtol=4e-16, atol=0.0)
+
+    def test_monotone_bounded_and_batch_equals_scalar(self):
+        gamma = np.geomspace(1e-300, 1e300, 200001)
+        cv = np.array([fb_coding._cv(g) for g in gamma.tolist()])
+        cap, disp = cv[:, 0], cv[:, 1]
+        assert (np.diff(cap) > 0.0).all()
+        assert (np.diff(disp) >= 0.0).all()
+        assert (disp > 0.0).all() and (disp <= DISPERSION_LIMIT).all()
+        for n, eps, cfg in [(500, 1e-6, ApproximationConfig()), (7, 0.3, LOG_TERM)]:
+            batch = fb_coding._rate_bound_batch(n, eps, gamma, cfg)
+            scalar = np.array([fb_coding._rate_bound(n, eps, g, cfg) for g in gamma.tolist()])
+            assert np.flatnonzero(batch.view(np.uint64) != scalar.view(np.uint64)).tolist() == []
 
 
 class TestErrorProbability:

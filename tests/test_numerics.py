@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp, ndtri
+from scipy.special import gammaln, ndtri
+from scipy.stats import binom
 
 from fblsec import numerics
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, error_probability
 from fblsec.numerics import (
     RngSeed,
-    _binomial_log_pmf,
-    _lgam,
     _log_binomial_coef,
     _log_factorials,
+    _mean,
     _ndtri,
     binomial_cdf,
     brent_root,
@@ -167,40 +167,43 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     return got.view(np.uint64) == want.view(np.uint64)
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
 class TestLgam:
-    """The Cephes lgam port and the log-factorial table against scipy's gammaln."""
+    """The log-factorial table and log binomial coefficients against math.lgamma,
+    and math.lgamma on integers against scipy's gammaln."""
 
-    def test_port_bit_identical_on_every_integer_to_2_pow_18(self):
+    def test_lgamma_within_4_ulp_of_gammaln_to_2_pow_18(self):
         x = np.arange(1, 2**18 + 1, dtype=float)
-        assert np.flatnonzero(~_same_bits(_lgam(x), gammaln(x))).tolist() == []
+        np.testing.assert_array_max_ulp(_lgamma(x), gammaln(x), maxulp=4)
 
-    def test_port_bit_identical_on_integers_up_to_1e12(self):
+    def test_lgamma_within_4_ulp_of_gammaln_up_to_1e12(self):
         # 200000 integers log-uniform on [1, 1e12] from default_rng(1512),
-        # fixed before the first run, plus the branch edges 12/13,
-        # 999/1000 and 1e8/1e8 + 1 and their neighbours.
+        # fixed before the first run, plus the edges 12/13, 999/1000 and
+        # 1e8/1e8 + 1 of the Cephes branches of gammaln and their neighbours.
         x = np.floor(10.0 ** np.random.default_rng(1512).uniform(0.0, 12.0, 200000))
         edges = [e + d for e in (13.0, 1000.0, 1e8 + 1.0) for d in (-2.0, -1.0, 0.0, 1.0)]
         x = np.concatenate([x, edges, [1e12]])
-        # Every branch is probed: the product and both series, with and
-        # without the series term that Cephes drops above 1e8.
         assert (x < 13).sum() and ((x >= 13) & (x < 1000)).sum() > 1000
         assert ((x >= 1000) & (x <= 1e8)).sum() > 1000 and (x > 1e8).sum() > 1000
-        assert x[~_same_bits(_lgam(x), gammaln(x))].tolist() == []
+        np.testing.assert_array_max_ulp(_lgamma(x), gammaln(x), maxulp=4)
 
-    def test_table_bit_identical_to_gammaln(self):
-        # log k! = gammaln(k + 1) for k = 0 .. 2^18, however far the table
+    def test_table_bit_identical_to_lgamma(self):
+        # log k! = lgamma(k + 1) for k = 0 .. 2^18, however far the table
         # had grown before.
         table = _log_factorials(2**18)
         assert len(table) > 2**18
         k = np.arange(len(table), dtype=float)
-        assert np.flatnonzero(~_same_bits(table, gammaln(k + 1.0))).tolist() == []
+        assert np.flatnonzero(~_same_bits(table, _lgamma(k + 1.0))).tolist() == []
 
     def test_log_binomial_coef_beyond_the_table(self):
-        # An n past the table's cap takes the port directly, and the table
+        # An n past the table's cap takes math.lgamma directly, and the table
         # does not grow: binomial_cdf of a few terms of a huge block stays small.
         for n in (numerics._LOG_FACTORIALS_MAX, numerics._LOG_FACTORIALS_MAX + 5, 10**12):
             j = np.array([0, 1, 2, 3, 1000, n // 2, n - 1, n])
-            want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+            want = math.lgamma(n + 1.0) - _lgamma(j + 1.0) - _lgamma(n - j + 1.0)
             assert _same_bits(_log_binomial_coef(j, n), want).all(), n
             assert len(numerics._LOG_FACTORIALS) <= numerics._LOG_FACTORIALS_MAX
         assert 0.0 < binomial_cdf(3, 10**12, 1e-12) < 1.0
@@ -208,7 +211,7 @@ class TestLgam:
     def test_log_binomial_coef_bit_identical_for_every_n_to_2048(self):
         for n in range(1, 2049):
             j = np.arange(n + 1)
-            want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+            want = math.lgamma(n + 1.0) - _lgamma(j + 1.0) - _lgamma(n - j + 1.0)
             mismatched = np.flatnonzero(~_same_bits(_log_binomial_coef(j, n), want))
             assert mismatched.tolist() == [], n
 
@@ -229,21 +232,17 @@ def _binomial_cases() -> list[tuple[int, int, float]]:
     return cases
 
 
-class TestLogsumexpPort:
-    """binomial_cdf's logsumexp steps against scipy.special.logsumexp."""
+class TestBinomialCdfMatchesScipy:
+    """binomial_cdf's log-sum-exp against scipy.stats.binom.cdf."""
 
-    def test_bit_identical_to_scipy(self):
-        mismatched, tied = [], 0
-        for k, n, p in _binomial_cases():
-            j = np.arange(k + 1)
-            log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
-            tied += np.count_nonzero(log_pmf == log_pmf.max()) > 1
-            want = min(1.0, math.exp(logsumexp(log_pmf)))
-            if binomial_cdf(k, n, p).hex() != want.hex():
-                mismatched.append((k, n, p))
-        # The tied-maximum step (m > 1) is probed, not just m = 1.
-        assert tied > 1000
-        assert mismatched == []
+    def test_within_2e_11_relative(self):
+        cases = _binomial_cases()
+        k, n, p = (np.array(c) for c in zip(*cases))
+        got = np.array([binomial_cdf(*c) for c in cases])
+        # The absolute slack covers one case, (24, 1333, 0.4487...), whose CDF
+        # is 1.62e-296 (exact rational sum) and which scipy's incomplete beta
+        # reads as 0.0.
+        np.testing.assert_allclose(got, binom.cdf(k, n, p), rtol=2e-11, atol=1e-290)
 
 
 class TestBinomialCdf:
@@ -385,6 +384,27 @@ class TestBrentRoot:
             brent_root(step, -60.0, 60.0, -1.0, 1.0, xtol=5e-324)
         with pytest.raises(RuntimeError):
             brentq(step, -60.0, 60.0, xtol=5e-324)
+
+
+class TestMean:
+    """The summary rule of the simulators' columns."""
+
+    def test_float_column_summed_exactly(self):
+        # The uncompensated sum() of Python 3.11 loses the 1.0 (1e16 + 1 is a
+        # tie that rounds to 1e16) and reads 2.0; the exact sum is 3.0.
+        assert _mean(np.array([1e16, 1.0, -1e16, 2.0])) == 0.75
+
+    def test_boolean_column_is_a_count(self):
+        column = np.array([True, False, True, True, False, False, True])
+        assert _mean(column) == 4 / 7
+        assert math.isnan(_mean(column[:0]))
+
+    def test_sum_beyond_the_largest_double(self):
+        # The exact sum is 2^1025, past the largest double; the mean 2^1025/3
+        # is not, and is rounded once.
+        big = math.ldexp(1.5, 1023)
+        assert _mean(np.array([big, big, math.ldexp(1.0, 1023)])) == float(Fraction(2**1025, 3))
+        assert _mean(np.array([math.inf, big, big])) == math.inf
 
 
 class TestRandomStreams:

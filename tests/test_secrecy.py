@@ -167,12 +167,16 @@ class TestSecurityGap:
 
     def test_bracket_ends_evaluated_once(self, monkeypatch):
         # The bracket ends are evaluated once, shared by the two searches for
-        # their bracket checks and handed to the solver: 2 + 11 + 11 calls.
+        # their bracket checks and handed to the solver: 2 + 22 + 1 calls.
+        # Bob's Brent path follows the last bits of C and V. Eve's first step
+        # lands on 0 dB, her exact root: eps = 1/2 where C(1) = 1 equals the
+        # rate. No SNR is evaluated twice.
         calls = []
         inner = fb_coding._error_probability
         monkeypatch.setattr(fb_coding, "_error_probability", lambda *a: calls.append(a) or inner(*a))
         security_gap(500, 1.0, CP)
-        assert len(calls) == 24
+        assert len(calls) == 25
+        assert len({gamma for _, _, gamma, _ in calls}) == len(calls)
 
     def test_gap_shrinks_with_blocklength(self):
         gaps = [security_gap(n, 1.0, CP).gap_linear for n in (100, 200, 500, 1000, 2000, 10**6)]

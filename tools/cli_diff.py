@@ -74,8 +74,12 @@ CASES = [
          "--out", "c.csv"),
     _one("cipc", "--trials", "200", "--beta-e", "0.7", "--out", "c.csv"),
     _one("cipc", "--trials", "200", "--beta-e", "1.0", "--log-term", "true", "--out", "c.csv"),
-    # SNRs that underflow to exactly zero
+    # SNRs that underflow to exactly zero, or at which 1 + SNR rounds to 1
     _one("cipc", "--trials", "5", "--q-target", "5e-324", "--out", "c.csv"),
+    _one("interval", "--n", "500", "--snr-b-db", "-160", "--snr-e-db", "-160"),
+    _one("lob", "--trials", "200", "--noise-b", "1e20", "--noise-e", "1e20"),
+    # SNR columns whose sum passes the largest double
+    _one("lob", "--trials", "200", "--noise-b", "1e-306", "--an-fraction", "0"),
     _one("cipc", "--trials", "20", "--out=c.csv", "--config=c.cfg"),
     # each draw branch: every trial suspended, no reciprocity error, no random draw at all
     _one("cipc", "--trials", "50", "--p-max", "1e-9", "--out", "c.csv"),
