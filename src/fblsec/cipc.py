@@ -26,7 +26,7 @@ import numpy as np
 from .channels import ReciprocityError, _check_antennas, apply_reciprocity_error, sample_rayleigh
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count, _best, _mean
-from .secrecy import ConstraintPair, RateIntervals, rate_interval_batch
+from .secrecy import ConstraintPair, RateIntervals, _simulated_intervals
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_CHANNEL = 0
@@ -143,10 +143,11 @@ def run_cipc(cfg: CipcConfig) -> CipcResult:
     trial delivers exactly q_target to Bob.
     """
     sent, p_t, bob_gain, eve_gain = _draw(cfg)
-    rx_bob = p_t * bob_gain
-    gamma_b = rx_bob / cfg.noise_power_bob
-    gamma_e = p_t * eve_gain / cfg.noise_power_eve
-    a = rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
+    with np.errstate(over="ignore"):  # an SNR of inf is refused below, by its noise power
+        rx_bob = p_t * bob_gain
+        gamma_b = rx_bob / cfg.noise_power_bob
+        gamma_e = p_t * eve_gain / cfg.noise_power_eve
+    a = _simulated_intervals(cfg, gamma_b, gamma_e)
     summary = CipcSummary(
         trials=cfg.trials,
         suspension_prob=(cfg.trials - len(p_t)) / cfg.trials,

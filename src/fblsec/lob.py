@@ -23,7 +23,7 @@ import numpy as np
 from .channels import RicianSpec, sample_rician, steering_vector
 from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
 from .numerics import RngSeed, _as_count, _best, _mean
-from .secrecy import ConstraintPair, RateIntervals, rate_interval_batch
+from .secrecy import ConstraintPair, RateIntervals, _simulated_intervals
 
 # Keyed stream of each random role: stream id base + role.
 _ROLE_BEARING = 0
@@ -133,6 +133,15 @@ def _sinr(gain: np.ndarray, leakage: np.ndarray, cfg: LobConfig, noise_power: fl
     return (1.0 - cfg.an_fraction) * cfg.total_power * gain / (an + noise_power)
 
 
+def _score(bob, eve, cfg: LobConfig) -> tuple[np.ndarray, np.ndarray, RateIntervals]:
+    """Bob's and Eve's SINR columns from their (gain, leakage) pairs, and
+    the rate intervals of those."""
+    with np.errstate(over="ignore"):  # an SINR of inf is refused below, by its noise power
+        sinr_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
+        sinr_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
+    return sinr_bob, sinr_eve, _simulated_intervals(cfg, sinr_bob, sinr_eve)
+
+
 def _draw(cfg: LobConfig):
     """Per-trial real columns: theta_hat and the (gain, leakage) pair of
     Bob and of Eve. Bob's channel is dropped before Eve's is drawn."""
@@ -158,9 +167,7 @@ def run_lob(cfg: LobConfig) -> LobResult:
     bearing error is drawn only when location_error_std > 0.
     """
     theta_hat, bob, eve = _draw(cfg)
-    sinr_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
-    sinr_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
-    a = rate_interval_batch(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
+    sinr_bob, sinr_eve, a = _score(bob, eve, cfg)
     summary = LobSummary(
         trials=cfg.trials,
         mean_sinr_bob=_mean(sinr_bob),
@@ -195,9 +202,6 @@ def optimize_an_fraction(cfg: LobConfig, phi_grid) -> AnOptimum:
     _, bob, eve = _draw(cfg)
     curve: list[tuple[float, float]] = []
     for phi in phis:
-        point = replace(cfg, an_fraction=phi)
-        sinr_bob = _sinr(*bob, point, cfg.noise_power_bob)
-        sinr_eve = _sinr(*eve, point, cfg.noise_power_eve)
-        a = rate_interval_batch(cfg.blocklength, sinr_bob, sinr_eve, cfg.constraints, cfg.approx)
+        a = _score(bob, eve, replace(cfg, an_fraction=phi))[2]
         curve.append((phi, _mean(a.feasible)))
     return AnOptimum(phi_star=_best(curve), objective_curve=curve)

@@ -204,6 +204,21 @@ def rate_interval_batch(
     return RateIntervals(r_sup, floor, delta, bob_on & (delta >= 0.0), clamped)
 
 
+def _simulated_intervals(cfg, gamma_b: np.ndarray, gamma_e: np.ndarray) -> RateIntervals:
+    """rate_interval_batch of a simulator's Bob and Eve SNR columns under
+    its config; an SNR that overflowed to inf is refused by the name of its
+    noise power. Only a refused run scans for inf."""
+    try:
+        return rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
+    except ValueError:
+        for who, gamma in (("Bob", gamma_b), ("Eve", gamma_e)):
+            name = f"noise_power_{who.lower()}"
+            if np.isinf(gamma).any():
+                raise ValueError(f"{who}'s SNR overflows to inf: the received power over "
+                                 f"{name}={getattr(cfg, name)!r} exceeds the largest double")
+        raise
+
+
 def _solve_snr_for_error_prob(
     n: int,
     rate: float,

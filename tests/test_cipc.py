@@ -222,6 +222,13 @@ class TestRunCipc:
             make_config(**{name: value})
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["noise_power_bob", "noise_power_eve"])
+    def test_snr_overflow_names_the_noise_power(self, name):
+        # Both noise powers are valid; only the SNR over them passes the largest double.
+        with pytest.raises(ValueError, match=f"{name}=5e-324 exceeds the largest double"):
+            run_cipc(make_config(trials=50, **{name: 5e-324}))
+
     def test_beta_e_warning_once_per_run(self):
         cfg = make_config(trials=2000, constraints=ConstraintPair(1e-6, 0.7))
         with warnings.catch_warnings(record=True) as caught:

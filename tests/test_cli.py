@@ -257,6 +257,22 @@ class TestErrorPaths:
         assert "RuntimeWarning" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["cipc", "--trials", "200", "--noise-e", "5e-324"], "noise_power_eve=5e-324"),
+            (["lob", "--trials", "200", "--noise-b", "1e-320", "--an-fraction", "0"],
+             "noise_power_bob=1e-320"),
+        ],
+    )
+    def test_snr_overflow_names_the_noise_power(self, argv, name, capsys):
+        # Every flag passes its own check; the SNR over the tiny noise power overflows.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{name} exceeds the largest double" in captured.err
+        assert "RuntimeWarning" not in captured.err
+
     def test_io_failure(self, tmp_path):
         missing_dir = tmp_path / "not" / "there" / "f.csv"
         assert main(["fig2", "--out", str(missing_dir)]) == 4
@@ -592,6 +608,46 @@ class TestSimulatorRowAssembly:
         peak(10)  # builds the kernel's tables, which are kept
         small, large = peak(20_000), peak(200_000)
         assert large - small < 64 * 1024
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The rows of each array that reaches the cell kernel while the test runs."""
+    rows = []
+    call = cli._SciCells.__call__
+
+    def counted(self, x, cells):
+        rows.append(len(x))
+        call(self, x, cells)
+
+    monkeypatch.setattr(cli._SciCells, "__call__", counted)
+    return rows
+
+
+class TestOnlyPrintedRowsAreFormatted:
+    """Suspended trials print as fixed text and never reach the cell kernel."""
+
+    def test_cipc_formats_the_transmitted_trials(self, kernel_rows, tmp_path):
+        argv = ["cipc", "--trials", "5000", "--antennas", "4", "--p-max", "0.4", "--sigma-delta", "0.1"]
+        assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 0
+        args = cli._build_parser().parse_args(argv)
+        sent = np.count_nonzero(run_cipc(cli._cipc_config(args, args.q_target)).sent)
+        assert 0 < sent < 5000
+        assert sum(kernel_rows) == sent
+
+    def test_lob_formats_every_trial(self, kernel_rows, tmp_path):
+        assert main(["lob", "--trials", "3000", "--out", str(tmp_path / "l.csv")]) == 0
+        assert sum(kernel_rows) == 3000
+
+    def test_every_trial_suspended(self, kernel_rows, tmp_path):
+        argv = ["cipc", "--trials", "3000", "--antennas", "4", "--p-max", "1e-3"]
+        out = tmp_path / "c.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert sum(kernel_rows) == 0
+        args = cli._build_parser().parse_args(argv)
+        result = run_cipc(cli._cipc_config(args, args.q_target))
+        assert not result.sent.any()
+        assert read(out).decode().splitlines()[1:] == _cipc_lines(result)
 
 
 def test_parser_is_built_once_per_process(tmp_path):

@@ -286,6 +286,15 @@ class TestRunLob:
             make_config(**{name: value})
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["noise_power_bob", "noise_power_eve"])
+    def test_sinr_overflow_names_the_noise_power(self, name):
+        cfg = make_config(trials=50, an_fraction=0.0, **{name: 1e-320})
+        with pytest.raises(ValueError, match=f"{name}=1e-320 exceeds the largest double"):
+            run_lob(cfg)
+        with pytest.raises(ValueError, match=f"{name}=1e-320 exceeds the largest double"):
+            optimize_an_fraction(cfg, [0.0, 0.5])
+
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
     def test_location_error_must_be_finite_and_nonnegative(self, value):
         with pytest.raises(ValueError, match="location_error_std must be finite and >= 0"):

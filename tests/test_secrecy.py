@@ -24,6 +24,7 @@ from fblsec.secrecy import (
     r_inf,
     r_sup,
     rate_interval,
+    _simulated_intervals,
     rate_interval_batch,
     security_gap,
 )
@@ -481,3 +482,12 @@ class TestRateIntervalBatch:
         assert all(np.array_equal(x.ravel(), y) for x, y in zip(a, flat))
         single = rate_interval_batch(500, GB, GE, CP)
         assert single.delta_r.shape == () and single.delta_r == rate_interval(500, GB, GE, CP).delta_r
+
+    def test_simulated_intervals_names_only_an_overflow(self):
+        cfg = SimpleNamespace(blocklength=500, constraints=CP, approx=fb_coding.DEFAULT_APPROXIMATION,
+                              noise_power_bob=1e-320, noise_power_eve=0.5)
+        with pytest.raises(ValueError, match="Bob's SNR overflows to inf: .* noise_power_bob=1e-320"):
+            _simulated_intervals(cfg, np.array([GB, math.inf]), np.array([GE, GE]))
+        # Any other refusal keeps rate_interval_batch's own message.
+        with pytest.raises(ValueError, match="SNR must be positive and finite, got nan"):
+            _simulated_intervals(cfg, np.array([GB, GB]), np.array([GE, math.nan]))

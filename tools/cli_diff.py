@@ -107,6 +107,11 @@ CASES = [
     _one("cipc", "--trials", "2048", "--antennas", "4", "--p-max", "0.4", "--out", "c.csv"),
     _one("cipc", "--trials", "2049", "--antennas", "4", "--p-max", "0.4", "--out", "c.csv"),
     _one("cipc", "--trials", "200000", "--antennas", "4", "--sigma-delta", "0.05", "--out", "c.csv"),
+    # suspended rows, which print as fixed text: about a quarter of the
+    # rows over 196 blocks, then every row over 3 blocks
+    _one("cipc", "--trials", "200000", "--antennas", "4", "--sigma-delta", "0.05", "--p-max", "0.4",
+         "--out", "c.csv"),
+    _one("cipc", "--trials", "3000", "--antennas", "4", "--p-max", "1e-3", "--out", "c.csv"),
     _one("optimize-q", "--q-grid", "0.5", "1", "2", "--trials", "60"),
     _one("optimize-q", "--q-grid", "0.5", "1", "2", "--trials", "60", "--out", "q.csv"),
     _one("optimize-q", "--q-grid", "1", "--trials", "10", "--out", "q.csv"),
@@ -145,6 +150,9 @@ CASES = [
     _one("cipc", "--noise-b", "inf"),
     _one("lob", "--trials", "3", "--loc-error-deg", "inf"),
     _one("cipc", "--trials", "3", "--sigma-delta", "inf"),
+    # valid noise powers so small that an SNR overflows
+    _one("cipc", "--trials", "200", "--noise-e", "5e-324"),
+    _one("lob", "--trials", "200", "--noise-b", "1e-320", "--an-fraction", "0"),
     # config files and manifest replay
     [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
      ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
