@@ -29,8 +29,6 @@ from .cipc import (
     CipcResult,
     CipcSummary,
     QOptimum,
-    cipc_beamformer,
-    cipc_power,
     optimize_q,
     run_cipc,
 )
@@ -49,7 +47,6 @@ from .lob import (
     LobConfig,
     LobResult,
     LobSummary,
-    lob_beamformer,
     optimize_an_fraction,
     run_lob,
 )
@@ -104,13 +101,10 @@ __all__ = [
     "block_error_prob",
     "bsc_crossover",
     "capacity",
-    "cipc_beamformer",
-    "cipc_power",
     "db_to_linear",
     "dispersion",
     "error_probability",
     "linear_to_db",
-    "lob_beamformer",
     "max_rate",
     "min_blocklength",
     "optimize_an_fraction",

@@ -18,19 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .fb_coding import SNR_BRACKET_DB, _check_snr, db_to_linear, linear_to_db
-from .numerics import (
-    _SQRT2,
-    UnsatisfiableError,
-    _as_count,
-    _binomial_log_pmf,
-    _log_binomial_coef,
-    binomial_cdf,
-    brent_root,
-)
-
-#: np.exp gives exactly 0.0 below this argument (its result underflows
-#: below -745.13), so the BER sum skips exp on such terms.
-_EXP_ZERO_BELOW = -746.0
+from .numerics import _SQRT2, UnsatisfiableError, _as_count, _binomial_sum, binomial_cdf, brent_root
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +93,14 @@ def be_cdf(code: CodeSpec, p: float, k: int) -> float:
 
 
 def block_error_prob(code: CodeSpec, p: float) -> float:
-    """Probability that more than t flips occur, i.e. decoding fails."""
-    return 1.0 - be_cdf(code, p, code.t)
+    """Probability that more than t flips occur, i.e. decoding fails; summed
+    over j = t+1..n, not taken as 1 - be_cdf, so it keeps its relative accuracy."""
+    n, t, p = code.n_bits, code.t, _check_prob(p)
+    if p == 0.0 or t == n:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    return min(1.0, _binomial_sum(n, np.arange(t + 1, n + 1))(p))
 
 
 def post_decoding_ber(code: CodeSpec, p: float) -> float:
@@ -123,23 +117,13 @@ def post_decoding_ber(code: CodeSpec, p: float) -> float:
 
 
 def _ber_curve(code: CodeSpec) -> Callable[[float], float]:
-    """post_decoding_ber(code, .) for a checked p, with every term that does
-    not depend on p (the failure counts j and n - j, their log binomial
-    coefficients and their bit-error weights min(n, j + t)) computed once,
-    and the buffers its sums use allocated once. The buffers make one curve
-    unsafe to call from two threads at once; every public call builds its
-    own.
+    """post_decoding_ber(code, .) for a checked p, with everything that does
+    not depend on p, the bit-error weights min(n, j + t) included, computed
+    once (see _binomial_sum). Every public call builds its own curve.
     """
     n, t = code.n_bits, code.t
     counts = np.arange(t + 1, n + 1)
-    log_coef = _log_binomial_coef(counts, n)
-    j = counts.astype(float)  # float, so no step converts the counts
-    n_minus_j = n - j
-    weights = np.minimum(n, j + t)
-    size = len(j)
-    terms, scratch = np.empty(size), np.empty(size)
-    live = np.empty(size, dtype=bool)
-    live_reversed = live[::-1]
+    weighted_sum = _binomial_sum(n, counts, np.minimum(n, counts + float(t)))
 
     def ber(p: float) -> float:
         if p == 0.0 or t == n:
@@ -148,22 +132,7 @@ def _ber_curve(code: CodeSpec) -> Callable[[float], float]:
             return p  # uncoded: the sum telescopes to E[X]/n
         if p == 1.0:
             return 1.0  # all n bits flip, decoding fails, min(n, n + t) = n
-        _binomial_log_pmf(j, n_minus_j, p, log_coef, terms, scratch)
-        # The terms weights * exp(log pmf), taking exp only from the first
-        # to the last log pmf at or above _EXP_ZERO_BELOW: below it exp is
-        # exactly 0.0, at many times the cost of a normal result. The sum
-        # still runs over the whole buffer, because numpy's pairwise
-        # summation groups the terms by position and length.
-        np.greater_equal(terms, _EXP_ZERO_BELOW, out=live)
-        lo = live.argmax()
-        hi = size - live_reversed.argmax() if live[lo] else lo
-        if lo:
-            terms[:lo] = 0.0
-        if hi < size:
-            terms[hi:] = 0.0
-        kept = terms[lo:hi]
-        np.multiply(weights[lo:hi], np.exp(kept, out=kept), out=kept)
-        return min(1.0, float(np.add.reduce(terms)) / n)
+        return min(1.0, weighted_sum(p) / n)
 
     return ber
 

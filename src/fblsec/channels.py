@@ -4,7 +4,7 @@ Channels are complex coefficient vectors, one entry per antenna, with
 unit average power per entry (E||h||^2 = N). The array model is a
 uniform linear array at half-wavelength spacing; line-of-sight structure
 enters through its steering vector. Every sampler is deterministic given
-an RngSeed (or an already-positioned numpy Generator) and prefix-stable:
+its RngSeed, whose keyed stream it starts afresh, and prefix-stable:
 row t of a (size, N) batch is the same for every size, and a single
 vector equals row 0, so a simulator draws all its trials in one call.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngSeed, _as_count, _as_rng
+from .numerics import RngSeed, _as_count
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -75,20 +75,15 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0] * _SQRT_HALF
 
 
-def sample_rayleigh(
-    n_antennas: int,
-    seed: RngSeed | np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
+def sample_rayleigh(n_antennas: int, seed: RngSeed, size: int | None = None) -> np.ndarray:
     """I.i.d. circularly-symmetric complex normal coefficients, unit power each.
 
     Returns one length-N vector, or a (size, N) batch drawn from the same
     substream when ``size`` is given.
     """
     n = _check_antennas(n_antennas)
-    rng = _as_rng(seed)
     shape = (n,) if size is None else (int(size), n)
-    return _complex_normal(rng, shape)
+    return _complex_normal(seed.generator(), shape)
 
 
 def steering_vector(aoa_radians, n_antennas: int) -> np.ndarray:
@@ -104,11 +99,7 @@ def steering_vector(aoa_radians, n_antennas: int) -> np.ndarray:
     return np.exp(1j * math.pi * np.sin(aoa)[..., np.newaxis] * np.arange(n))
 
 
-def sample_rician(
-    spec: RicianSpec,
-    seed: RngSeed | np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
+def sample_rician(spec: RicianSpec, seed: RngSeed, size: int | None = None) -> np.ndarray:
     """LOS-plus-scatter channel sqrt(K/(K+1)) a(theta) + sqrt(1/(K+1)) w."""
     los = steering_vector(spec.aoa_radians, spec.n_antennas)
     if math.isinf(spec.k_factor):
@@ -118,11 +109,7 @@ def sample_rician(
     return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
 
 
-def apply_reciprocity_error(
-    h_d: np.ndarray,
-    err: ReciprocityError,
-    seed: RngSeed | np.random.Generator,
-) -> np.ndarray:
+def apply_reciprocity_error(h_d: np.ndarray, err: ReciprocityError, seed: RngSeed) -> np.ndarray:
     """Uplink channel h_d + delta with per-entry perturbation variance sigma^2.
 
     h_d may be one vector or a (trials, N) batch. sigma_delta = 0 returns
@@ -131,5 +118,4 @@ def apply_reciprocity_error(
     h_d = np.asarray(h_d)
     if err.sigma_delta == 0.0:
         return h_d.copy()
-    rng = _as_rng(seed)
-    return h_d + err.sigma_delta * _complex_normal(rng, h_d.shape)
+    return h_d + err.sigma_delta * _complex_normal(seed.generator(), h_d.shape)

@@ -11,9 +11,10 @@ and sees a randomly varying transmit power.
 
 Each random role (downlink channel, reciprocity error, Eve's channel)
 has its own keyed stream and draws all its trials in one call, so the
-first k trials do not depend on how many trials follow. The draw reduces
-each (trials, N) complex channel to a real gain column as soon as it can;
-each trial is then scored by the rate interval of its (SNR_bob, SNR_eve).
+first k trials do not depend on how many trials follow. The draw takes
+||h_d||^2 once, for both the power and the beam, and reduces each
+(trials, N) complex channel to a real gain column as soon as it can; each
+trial is then scored by the rate interval of its (SNR_bob, SNR_eve).
 """
 
 from __future__ import annotations
@@ -89,47 +90,26 @@ class CipcResult:
     summary: CipcSummary
 
 
-def cipc_beamformer(h_d: np.ndarray) -> np.ndarray:
-    """Transmit beamformer conj(h_d)/||h_d||; unit norm by construction.
-
-    A (trials, N) batch gives one beamformer per row.
-    """
-    h_d = np.asarray(h_d)
-    gain = np.vecdot(h_d, h_d).real
-    if np.any(gain == 0.0):
-        raise ValueError("degenerate channel: cannot beamform on a zero vector")
-    return h_d.conj() / np.sqrt(gain)[..., np.newaxis]
-
-
-def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> np.ndarray:
-    """Inverted transmit power Q/||h||^2 for the channel the transmitter knows.
-
-    nan where the required power exceeds p_max (truncated inversion,
-    trial suspended). A (trials, N) batch gives one power per row.
-    """
-    h_known = np.asarray(h_known)
-    gain = np.vecdot(h_known, h_known).real
-    if np.any(gain == 0.0):
-        raise ValueError("degenerate channel: zero gain cannot be inverted")
-    p_t = cfg.q_target / gain
-    return np.where(p_t > cfg.p_max, np.nan, p_t)
-
-
 def _draw(cfg: CipcConfig):
     """The sent mask, then p_t, |h_u^T w|^2 and |g^H w|^2 of the transmitted
-    trials; each complex channel is dropped as soon as its gain is taken."""
+    trials under the beam w = conj(h_d)/||h_d||; each complex channel is
+    dropped as soon as its gain is taken."""
     base = cfg.seed.stream_id
     h_d = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_CHANNEL), size=cfg.trials)
-    p_t = cipc_power(h_d, cfg)
-    sent = ~np.isnan(p_t)
-    h_d, p_t = h_d[sent], p_t[sent]
-    w = cipc_beamformer(h_d)
+    gain = np.vecdot(h_d, h_d).real
+    if np.any(gain == 0.0):
+        raise ValueError("degenerate channel: zero gain cannot be inverted")
+    with np.errstate(over="ignore"):  # an infinite p_t is refused in run_cipc, by q_target
+        p_t = cfg.q_target / gain
+    sent = ~(p_t > cfg.p_max)  # truncated inversion suspends the rest
+    h_d, gain = h_d[sent], gain[sent]
+    w = h_d.conj() / np.sqrt(gain)[:, np.newaxis]
     h_u = apply_reciprocity_error(h_d, cfg.reciprocity, cfg.seed.stream(base + _ROLE_RECIPROCITY))
     del h_d
     bob_gain = np.abs(np.vecdot(h_u.conj(), w)) ** 2
     del h_u
-    g = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_EVE), size=len(p_t))
-    return sent, p_t, bob_gain, np.abs(np.vecdot(g, w)) ** 2
+    g = sample_rayleigh(cfg.n_antennas_tx, cfg.seed.stream(base + _ROLE_EVE), size=len(w))
+    return sent, p_t[sent], bob_gain, np.abs(np.vecdot(g, w)) ** 2
 
 
 def run_cipc(cfg: CipcConfig) -> CipcResult:
@@ -143,11 +123,22 @@ def run_cipc(cfg: CipcConfig) -> CipcResult:
     trial delivers exactly q_target to Bob.
     """
     sent, p_t, bob_gain, eve_gain = _draw(cfg)
-    with np.errstate(over="ignore"):  # an SNR of inf is refused below, by its noise power
+    with np.errstate(over="ignore"):  # an SNR of inf is refused below, by the input at fault
         rx_bob = p_t * bob_gain
         gamma_b = rx_bob / cfg.noise_power_bob
         gamma_e = p_t * eve_gain / cfg.noise_power_eve
-    a = _simulated_intervals(cfg, gamma_b, gamma_e)
+    try:
+        a = _simulated_intervals(cfg, gamma_b, gamma_e)
+    except ValueError:  # it blames a noise power, unless a power is itself inf
+        limit = f" and p_max={cfg.p_max!r}" if math.isinf(cfg.p_max) else ""
+        with np.errstate(over="ignore"):
+            powers = {"the transmit power": p_t, "Bob's received power": rx_bob,
+                      "Eve's received power": p_t * eve_gain}
+        for what, power in powers.items():
+            if np.isinf(power).any():
+                raise ValueError(f"{what} overflows to inf: at q_target={cfg.q_target!r}{limit} "
+                                 "it exceeds the largest double") from None
+        raise
     summary = CipcSummary(
         trials=cfg.trials,
         suspension_prob=(cfg.trials - len(p_t)) / cfg.trials,

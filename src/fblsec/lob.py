@@ -7,8 +7,9 @@ the beam's null space. A receiver whose channel is pure LOS at exactly
 the steered angle sees no artificial noise at all; scatter (finite Rician
 K) or bearing error leaks some of it. Each random role (bearing error,
 Bob's channel, Eve's channel) has its own keyed stream and draws all its
-trials in one call; the draw reduces each receiver's channel to its beam
-gain and leakage before the next is drawn. The SINRs are scored through
+trials in one call; the beam is the steering vector of the estimated
+bearing over sqrt(N), and the draw reduces each receiver's channel to its
+beam gain and leakage before the next is drawn. The SINRs are scored through
 secrecy.rate_interval_batch, which reads a zero SINR (no power on
 information) as a receiver that decodes nothing.
 """
@@ -99,28 +100,13 @@ class LobResult:
     summary: LobSummary
 
 
-def lob_beamformer(theta_hat, n_antennas: int) -> np.ndarray:
-    """Unit-norm beam along the steering vector of the estimated bearing.
-
-    An array of bearings gives one beam per bearing along a new last axis.
-    """
-    a = steering_vector(theta_hat, n_antennas)
-    return a / math.sqrt(n_antennas)
-
-
-def _an_leakage(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """||h^H V||^2 for an orthonormal basis V of the null space of the unit beam w.
-
-    V V^H = I - w w^H, so this is ||h||^2 - |w^H h|^2 and no basis is
-    built; rounding can push the difference just below zero, hence the clamp.
-    Works along the last axis.
-    """
-    return np.maximum(0.0, np.vecdot(h, h).real - np.abs(np.vecdot(w, h)) ** 2)
-
-
 def _gains(h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|h^H w|^2, ||h^H V||^2) of a receiver with channel h under beam w."""
-    return np.abs(np.vecdot(h, w)) ** 2, _an_leakage(h, w)
+    """(|h^H w|^2, ||h^H V||^2) of a receiver with channel h under the unit
+    beam w, V an orthonormal basis of the null space of w, along the last
+    axis. V V^H = I - w w^H, so the leakage is ||h||^2 - |w^H h|^2, clamped
+    at 0 against rounding, and no basis is built."""
+    gain = np.abs(np.vecdot(h, w)) ** 2
+    return gain, np.maximum(0.0, np.vecdot(h, h).real - np.abs(np.vecdot(w, h)) ** 2)
 
 
 def _sinr(gain: np.ndarray, leakage: np.ndarray, cfg: LobConfig, noise_power: float) -> np.ndarray:
@@ -150,7 +136,7 @@ def _draw(cfg: LobConfig):
     if cfg.location_error_std > 0.0:
         err = cfg.seed.stream(base + _ROLE_BEARING).generator().standard_normal(cfg.trials)
         theta_hat = np.clip(theta_hat + cfg.location_error_std * err, -_ANGLE_LIMIT, _ANGLE_LIMIT)
-    w = lob_beamformer(theta_hat, cfg.n_antennas)
+    w = steering_vector(theta_hat, cfg.n_antennas) / math.sqrt(cfg.n_antennas)
     spec_bob = RicianSpec(cfg.k_factor_bob, cfg.theta_bob, cfg.n_antennas)
     spec_eve = RicianSpec(cfg.k_factor_eve, cfg.theta_eve, cfg.n_antennas)
     bob = _gains(sample_rician(spec_bob, cfg.seed.stream(base + _ROLE_BOB), size=cfg.trials), w)

@@ -25,6 +25,9 @@ _BRENT_MAXITER = 100
 #: Constants of Cephes ndtri: sqrt(2 pi), and exp(-2), where its central branch ends.
 _S2PI = 2.50662827463100050242e0
 _EXP_M2 = 0.13533528323661269189
+#: np.exp gives exactly 0.0 below this argument (its result underflows
+#: below -745.13), so binomial sums skip exp on such terms.
+_EXP_ZERO_BELOW = -746.0
 
 
 class UnsatisfiableError(ValueError):
@@ -112,7 +115,7 @@ def _ndtri(y0: float) -> float:
 def binomial_cdf(k: int, n: int, p: float) -> float:
     """P(X <= k) for X ~ Binomial(n, p).
 
-    Terms are accumulated in log space (lgamma-based), which stays stable
+    Each term is taken from its log (lgamma-based), which stays stable
     up to n ~ 1e5 where direct binomial coefficients overflow.
     """
     n = _as_count(n, "n")
@@ -128,11 +131,7 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    j = np.arange(k + 1)
-    log_pmf = _binomial_log_pmf(j, n - j, p, _log_binomial_coef(j, n))
-    # log sum exp(log_pmf), shifted by the largest term so that none overflows.
-    a_max = log_pmf.max()
-    return min(1.0, math.exp(a_max + math.log(np.exp(log_pmf - a_max).sum())))
+    return min(1.0, _binomial_sum(n, np.arange(k + 1))(p))
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
@@ -194,6 +193,42 @@ def _binomial_log_pmf(
     out = np.multiply(j, math.log(p), out=out)
     np.add(log_coef, out, out=out)
     return np.add(out, np.multiply(n_minus_j, math.log1p(-p), out=scratch), out=out)
+
+
+def _binomial_sum(n: int, counts: np.ndarray, weights: np.ndarray | None = None) -> Callable[[float], float]:
+    """p -> the sum over an ascending integer array of counts j of P(X = j), X ~ Binomial(n, p),
+    0 < p < 1, each term times its weight if float weights shaped like counts are given.
+    Everything that does not depend on p is computed once, and the buffers allocated
+    once, which makes one sum unsafe to call from two threads at once."""
+    log_coef = _log_binomial_coef(counts, n)
+    j = counts.astype(float)  # float, so no step converts the counts
+    n_minus_j = n - j
+    size = len(j)
+    terms, scratch = np.empty(size), np.empty(size)
+    live = np.empty(size, dtype=bool)
+    live_reversed = live[::-1]
+
+    def total(p: float) -> float:
+        _binomial_log_pmf(j, n_minus_j, p, log_coef, terms, scratch)
+        # The terms weight * exp(log pmf), taking exp only from the first to
+        # the last log pmf at or above _EXP_ZERO_BELOW: below it exp is
+        # exactly 0.0, at many times the cost of a normal result. The sum
+        # still runs over the whole buffer, because numpy's pairwise
+        # summation groups the terms by position and length.
+        np.greater_equal(terms, _EXP_ZERO_BELOW, out=live)
+        lo = live.argmax()
+        hi = size - live_reversed.argmax() if live[lo] else lo
+        if lo:
+            terms[:lo] = 0.0
+        if hi < size:
+            terms[hi:] = 0.0
+        kept = terms[lo:hi]
+        np.exp(kept, out=kept)
+        if weights is not None:
+            np.multiply(weights[lo:hi], kept, out=kept)
+        return float(np.add.reduce(terms))
+
+    return total
 
 
 def brent_root(
@@ -307,9 +342,3 @@ class RngSeed:
         """Fresh counter-based generator keyed by (master_seed, stream_id)."""
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def _as_rng(seed: "RngSeed | np.random.Generator") -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return seed.generator()

@@ -12,6 +12,9 @@ calls (or, for the post-decoding BER, from its own lgamma sum) and the
 roots taken from scipy.optimize.brentq (not from constants computed once
 per search and the package's Brent port), and CIPC's run statistics in
 closed form from the Gamma law of the channel gain (not from draws).
+The per-channel beams and inverted power of both simulators are kept here
+as functions of a full channel vector, the reference a draw of reduced
+statistics is checked against.
 """
 
 import dataclasses
@@ -27,6 +30,7 @@ from scipy.special import gammaincc
 from fblsec import fb_coding
 from fblsec.ber import BerSecurityGap, bsc_crossover
 from fblsec.channels import steering_vector
+from fblsec.cipc import CipcConfig
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, linear_to_db
 from fblsec.numerics import UnsatisfiableError, q_func
 from fblsec.secrecy import SecrecyAssessment, SecurityGap, r_inf, r_sup, rate_interval
@@ -79,6 +83,41 @@ def an_basis(theta_hat: float, n_antennas: int) -> np.ndarray:
     a = steering_vector(theta_hat, n_antennas)
     # The trailing right-singular vectors of the 1 x N matrix a^H span its null space.
     return np.linalg.svd(a.conj()[np.newaxis, :])[2][1:].conj().T
+
+
+def cipc_beamformer(h_d: np.ndarray) -> np.ndarray:
+    """Transmit beamformer conj(h_d)/||h_d||; unit norm by construction.
+
+    A (trials, N) batch gives one beamformer per row.
+    """
+    h_d = np.asarray(h_d)
+    gain = np.vecdot(h_d, h_d).real
+    if np.any(gain == 0.0):
+        raise ValueError("degenerate channel: cannot beamform on a zero vector")
+    return h_d.conj() / np.sqrt(gain)[..., np.newaxis]
+
+
+def cipc_power(h_known: np.ndarray, cfg: CipcConfig) -> np.ndarray:
+    """Inverted transmit power Q/||h||^2 for the channel the transmitter knows.
+
+    nan where the required power exceeds p_max (truncated inversion,
+    trial suspended). A (trials, N) batch gives one power per row.
+    """
+    h_known = np.asarray(h_known)
+    gain = np.vecdot(h_known, h_known).real
+    if np.any(gain == 0.0):
+        raise ValueError("degenerate channel: zero gain cannot be inverted")
+    p_t = cfg.q_target / gain
+    return np.where(p_t > cfg.p_max, np.nan, p_t)
+
+
+def lob_beamformer(theta_hat, n_antennas: int) -> np.ndarray:
+    """Unit-norm beam along the steering vector of the estimated bearing.
+
+    An array of bearings gives one beam per bearing along a new last axis.
+    """
+    a = steering_vector(theta_hat, n_antennas)
+    return a / math.sqrt(n_antennas)
 
 
 def cipc_closed_form(cfg) -> tuple[float, float, float]:

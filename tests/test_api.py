@@ -16,6 +16,9 @@ REMOVED = [
     ("numerics", "sample_uniform"),
     ("secrecy", "asymptotic_secrecy_capacity"),
     ("cipc", "default_q_objective"),
+    ("cipc", "cipc_power"),
+    ("cipc", "cipc_beamformer"),
+    ("lob", "lob_beamformer"),
 ]
 
 

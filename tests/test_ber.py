@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from fblsec.ber import (
-    _EXP_ZERO_BELOW,
     BerThresholds,
     CodeSpec,
     _ber_curve,
@@ -20,10 +20,17 @@ from fblsec.ber import (
     post_decoding_ber,
 )
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear
-from fblsec.numerics import UnsatisfiableError, _binomial_log_pmf, _log_binomial_coef, q_func
+from fblsec.numerics import (
+    _EXP_ZERO_BELOW,
+    UnsatisfiableError,
+    _binomial_log_pmf,
+    _log_binomial_coef,
+    q_func,
+)
 
 from oracles import (
     ber_security_gap_search,
+    binomial_cdf_exact,
     binomial_cdf_patterns,
     exact_outcome,
     post_decoding_ber_exact,
@@ -135,6 +142,35 @@ class TestBlockErrorProb:
     def test_monotone_in_p(self):
         probs = [block_error_prob(HAMMING, p) for p in (0.01, 0.05, 0.1, 0.3, 0.5, 0.9)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
+
+    def test_upper_tail_matches_scipy_sf(self):
+        # 1 - be_cdf keeps only about 1e-16 absolute accuracy; the tail sum
+        # keeps its relative accuracy. binom.sf itself drifts by up to 1e-3
+        # relative just above 1e-300 (see test_deep_tail_is_exact), so the
+        # comparison stops at 1e-280.
+        rng = np.random.default_rng(2103)
+        n = np.floor(2.0 ** rng.uniform(0.0, 12.0, 500)).astype(int)
+        t = np.floor(rng.uniform(0.0, 1.0, 500) * (np.minimum(n, 300) + 1)).astype(int)
+        p = 10.0 ** rng.uniform(-12.0, 0.0, 500) * 0.999
+        want = binom.sf(t, n, p)
+        got = np.array([block_error_prob(CodeSpec(int(a), int(b)), float(c)) for a, b, c in zip(n, t, p)])
+        keep = want >= 1e-280
+        assert keep.sum() > 250
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n_bits, t, p",
+        [
+            (2047, 100, 1e-3),  # 1 - be_cdf gives 9.8e-13 here
+            (1023, 50, 1e-2),  # and 4.6e-13 here
+            (73, 39, 1.1362817100730065e-08),  # binom.sf is 1.0e-6 off
+            (76, 37, 5.933045689804811e-09),  # binom.sf is 3.5e-4 off
+            (58, 38, 9.57158943319762e-09),  # binom.sf is 6.2e-4 off
+        ],
+    )
+    def test_deep_tail_is_exact(self, n_bits, t, p):
+        exact = float(1 - binomial_cdf_exact(t, n_bits, Fraction(p)))
+        assert block_error_prob(CodeSpec(n_bits, t), p) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestPostDecodingBer:

@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from fblsec.channels import ReciprocityError, apply_reciprocity_error, sample_rayleigh
-from fblsec.cipc import (
-    CipcConfig,
-    _q_objective,
-    cipc_beamformer,
-    cipc_power,
-    optimize_q,
-    run_cipc,
-)
+from fblsec.cipc import CipcConfig, _q_objective, optimize_q, run_cipc
 from fblsec.fb_coding import ApproximationConfig
 from fblsec.numerics import RngSeed
 from fblsec.secrecy import ConstraintPair, RateIntervals, rate_interval
 
-from oracles import cipc_closed_form
+from oracles import cipc_beamformer, cipc_closed_form, cipc_power
 
 CP = ConstraintPair(1e-6, 0.5)
 # Per-trial columns of a CipcResult besides its five assessment columns.
@@ -228,6 +221,30 @@ class TestRunCipc:
         # Both noise powers are valid; only the SNR over them passes the largest double.
         with pytest.raises(ValueError, match=f"{name}=5e-324 exceeds the largest double"):
             run_cipc(make_config(trials=50, **{name: 5e-324}))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # p_max = inf suspends nothing, so Q / ||h_d||^2 itself overflows.
+            (dict(trials=200, q_target=1e308, p_max=math.inf),
+             r"^the transmit power overflows to inf: at q_target=1e\+308 and p_max=inf "),
+            # A finite p_t, but the reciprocity error lifts Bob's gain above ||h_d||^2.
+            (dict(trials=20, n_antennas_tx=4, q_target=1e308, p_max=1e308,
+                  reciprocity=ReciprocityError(0.5), seed=RngSeed(0)),
+             r"^Bob's received power overflows to inf: at q_target=1e\+308 it "),
+            # Bob receives exactly Q; Eve's gain passes ||h_d||^2 on some trial.
+            (dict(trials=200, q_target=1e308, p_max=1e308),
+             r"^Eve's received power overflows to inf: at q_target=1e\+308 it "),
+        ],
+    )
+    def test_power_overflow_names_q_target(self, overrides, message):
+        # Only the noise division may be blamed on a noise power.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                run_cipc(make_config(**overrides))
+            with pytest.raises(ValueError, match=message):
+                optimize_q(make_config(**overrides), [1.0, overrides["q_target"]])
 
     def test_beta_e_warning_once_per_run(self):
         cfg = make_config(trials=2000, constraints=ConstraintPair(1e-6, 0.7))

@@ -273,6 +273,27 @@ class TestErrorPaths:
         assert f"{name} exceeds the largest double" in captured.err
         assert "RuntimeWarning" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "200", "--q-target", "1e308", "--p-max", "inf"],
+             "the transmit power overflows to inf: at q_target=1e+308 and p_max=inf"),
+            (["--trials", "20", "--antennas", "4", "--q-target", "1e308", "--p-max", "1e308",
+              "--sigma-delta", "0.5", "--seed", "0"],
+             "Bob's received power overflows to inf: at q_target=1e+308"),
+        ],
+    )
+    def test_power_overflow_names_q_target(self, flags, message, tmp_path):
+        # A fresh interpreter, so a numpy warning would print to stderr.
+        src = str(Path(fblsec.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fblsec.cli import main; sys.exit(main(sys.argv[1:]))",
+             "cipc", *flags],
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: invalid arguments: {message} it exceeds the largest double\n"
+
     def test_io_failure(self, tmp_path):
         missing_dir = tmp_path / "not" / "there" / "f.csv"
         assert main(["fig2", "--out", str(missing_dir)]) == 4
@@ -798,13 +819,10 @@ called = {
     "block_error_prob": f.block_error_prob(code, 0.01),
     "bsc_crossover": f.bsc_crossover(1e308),
     "capacity": f.capacity(10.0),
-    "cipc_beamformer": f.cipc_beamformer(h),
-    "cipc_power": f.cipc_power(h, cipc),
     "db_to_linear": f.db_to_linear(10.0),
     "dispersion": f.dispersion(10.0),
     "error_probability": f.error_probability(500, 1.0, 10.0),
     "linear_to_db": f.linear_to_db(10.0),
-    "lob_beamformer": f.lob_beamformer(0.1, 4),
     "max_rate": bound,
     "min_blocklength": f.min_blocklength(10.0, 1.0, pair),
     "optimize_an_fraction": an,

@@ -7,20 +7,12 @@ import numpy as np
 import pytest
 
 from fblsec.channels import sample_rician, steering_vector, RicianSpec
-from fblsec.lob import (
-    LobConfig,
-    _an_leakage,
-    _gains,
-    _sinr,
-    lob_beamformer,
-    optimize_an_fraction,
-    run_lob,
-)
+from fblsec.lob import LobConfig, _gains, _sinr, optimize_an_fraction, run_lob
 from fblsec.numerics import RngSeed
 from fblsec.fb_coding import ApproximationConfig
 from fblsec.secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
-from oracles import an_basis, assess_sinr_pair
+from oracles import an_basis, assess_sinr_pair, lob_beamformer
 
 CP = ConstraintPair(1e-6, 0.5)
 # Per-trial columns of a LobResult besides its five assessment columns.
@@ -105,7 +97,7 @@ class TestAnLeakage:
                 if k % 5 == 0:  # nearly on the beam, where the difference cancels
                     h = steering_vector(theta, n) * (1.0 + 0.5j) + 1e-7 * h
                 expected = np.linalg.norm(h.conj() @ an_basis(theta, n)) ** 2
-                leakage = _an_leakage(h, lob_beamformer(theta, n))
+                leakage = _gains(h, lob_beamformer(theta, n))[1]
                 assert leakage >= 0.0
                 assert abs(leakage - expected) <= 1e-12 * np.vdot(h, h).real
 

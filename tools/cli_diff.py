@@ -153,6 +153,10 @@ CASES = [
     # valid noise powers so small that an SNR overflows
     _one("cipc", "--trials", "200", "--noise-e", "5e-324"),
     _one("lob", "--trials", "200", "--noise-b", "1e-320", "--an-fraction", "0"),
+    # a transmit power, or a received power, that overflows
+    _one("cipc", "--trials", "200", "--q-target", "1e308", "--p-max", "inf"),
+    _one("cipc", "--trials", "20", "--antennas", "4", "--q-target", "1e308", "--p-max", "1e308",
+         "--sigma-delta", "0.5", "--seed", "0"),
     # config files and manifest replay
     [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
      ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
