@@ -125,20 +125,12 @@ def run_cipc(cfg: CipcConfig) -> CipcResult:
     sent, p_t, bob_gain, eve_gain = _draw(cfg)
     with np.errstate(over="ignore"):  # an SNR of inf is refused below, by the input at fault
         rx_bob = p_t * bob_gain
+        rx_eve = p_t * eve_gain
         gamma_b = rx_bob / cfg.noise_power_bob
-        gamma_e = p_t * eve_gain / cfg.noise_power_eve
-    try:
-        a = _simulated_intervals(cfg, gamma_b, gamma_e)
-    except ValueError:  # it blames a noise power, unless a power is itself inf
-        limit = f" and p_max={cfg.p_max!r}" if math.isinf(cfg.p_max) else ""
-        with np.errstate(over="ignore"):
-            powers = {"the transmit power": p_t, "Bob's received power": rx_bob,
-                      "Eve's received power": p_t * eve_gain}
-        for what, power in powers.items():
-            if np.isinf(power).any():
-                raise ValueError(f"{what} overflows to inf: at q_target={cfg.q_target!r}{limit} "
-                                 "it exceeds the largest double") from None
-        raise
+        gamma_e = rx_eve / cfg.noise_power_eve
+    source = f"q_target={cfg.q_target!r}" + (" and p_max=inf" if math.isinf(cfg.p_max) else "")
+    powers = {"the transmit power": p_t, "Bob's received power": rx_bob, "Eve's received power": rx_eve}
+    a = _simulated_intervals(cfg, gamma_b, gamma_e, powers, source)
     summary = CipcSummary(
         trials=cfg.trials,
         suspension_prob=(cfg.trials - len(p_t)) / cfg.trials,

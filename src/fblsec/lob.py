@@ -103,29 +103,32 @@ class LobResult:
 def _gains(h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|h^H w|^2, ||h^H V||^2) of a receiver with channel h under the unit
     beam w, V an orthonormal basis of the null space of w, along the last
-    axis. V V^H = I - w w^H, so the leakage is ||h||^2 - |w^H h|^2, clamped
+    axis. V V^H = I - w w^H, so the leakage is ||h||^2 - |h^H w|^2, clamped
     at 0 against rounding, and no basis is built."""
     gain = np.abs(np.vecdot(h, w)) ** 2
-    return gain, np.maximum(0.0, np.vecdot(h, h).real - np.abs(np.vecdot(w, h)) ** 2)
+    return gain, np.maximum(0.0, np.vecdot(h, h).real - gain)
 
 
-def _sinr(gain: np.ndarray, leakage: np.ndarray, cfg: LobConfig, noise_power: float) -> np.ndarray:
-    """SINR of a receiver from its beam gain and artificial-noise leakage.
+def _sinr(gain: np.ndarray, leakage: np.ndarray, cfg: LobConfig, noise_power: float) -> tuple:
+    """(SINR, signal power) of a receiver from its beam gain and AN leakage.
 
     Signal power is (1-phi) P |h^H w|^2; artificial noise adds
     (phi P / (N-1)) ||h^H V||^2 on top of thermal noise.
     """
     an = cfg.an_fraction * cfg.total_power / (cfg.n_antennas - 1) * leakage
-    return (1.0 - cfg.an_fraction) * cfg.total_power * gain / (an + noise_power)
+    signal = (1.0 - cfg.an_fraction) * cfg.total_power * gain
+    return signal / (an + noise_power), signal
 
 
 def _score(bob, eve, cfg: LobConfig) -> tuple[np.ndarray, np.ndarray, RateIntervals]:
     """Bob's and Eve's SINR columns from their (gain, leakage) pairs, and
     the rate intervals of those."""
-    with np.errstate(over="ignore"):  # an SINR of inf is refused below, by its noise power
-        sinr_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
-        sinr_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
-    return sinr_bob, sinr_eve, _simulated_intervals(cfg, sinr_bob, sinr_eve)
+    with np.errstate(over="ignore"):  # an SINR of inf is refused below, by the input at fault
+        sinr_bob, rx_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
+        sinr_eve, rx_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
+    powers = {"Bob's received power": rx_bob, "Eve's received power": rx_eve}
+    a = _simulated_intervals(cfg, sinr_bob, sinr_eve, powers, f"total_power={cfg.total_power!r}")
+    return sinr_bob, sinr_eve, a
 
 
 def _draw(cfg: LobConfig):

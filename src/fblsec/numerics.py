@@ -303,7 +303,7 @@ def _mean(column: np.ndarray) -> float:
     if not n:
         return math.nan
     if column.dtype == bool:
-        return np.count_nonzero(column) / n
+        return int(np.count_nonzero(column)) / n
     try:
         return math.fsum(column.tolist()) / n
     except OverflowError:  # a partial sum passed the largest double; 2^-64 scales it exactly

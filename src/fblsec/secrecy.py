@@ -204,13 +204,16 @@ def rate_interval_batch(
     return RateIntervals(r_sup, floor, delta, bob_on & (delta >= 0.0), clamped)
 
 
-def _simulated_intervals(cfg, gamma_b: np.ndarray, gamma_e: np.ndarray) -> RateIntervals:
-    """rate_interval_batch of a simulator's Bob and Eve SNR columns under
-    its config; an SNR that overflowed to inf is refused by the name of its
-    noise power. Only a refused run scans for inf."""
+def _simulated_intervals(cfg, gamma_b, gamma_e, powers: dict, source: str) -> RateIntervals:
+    """rate_interval_batch of a simulator's SNR columns under its config. A
+    refused run names the input at fault: an inf in a named power column
+    blames the inputs in source, an inf SNR its noise power."""
     try:
         return rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
     except ValueError:
+        for what, power in powers.items():
+            if np.isinf(power).any():
+                raise ValueError(f"{what} overflows to inf: at {source} it exceeds the largest double")
         for who, gamma in (("Bob", gamma_b), ("Eve", gamma_e)):
             name = f"noise_power_{who.lower()}"
             if np.isinf(gamma).any():

@@ -276,11 +276,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--trials", "200", "--q-target", "1e308", "--p-max", "inf"],
+            (["cipc", "--trials", "200", "--q-target", "1e308", "--p-max", "inf"],
              "the transmit power overflows to inf: at q_target=1e+308 and p_max=inf"),
-            (["--trials", "20", "--antennas", "4", "--q-target", "1e308", "--p-max", "1e308",
+            (["cipc", "--trials", "20", "--antennas", "4", "--q-target", "1e308", "--p-max", "1e308",
               "--sigma-delta", "0.5", "--seed", "0"],
              "Bob's received power overflows to inf: at q_target=1e+308"),
+            # LOB names its power input the same way.
+            (["lob", "--trials", "50", "--power", "1e308", "--an-fraction", "0.5"],
+             "Bob's received power overflows to inf: at total_power=1e+308"),
         ],
     )
     def test_power_overflow_names_q_target(self, flags, message, tmp_path):
@@ -288,7 +291,7 @@ class TestErrorPaths:
         src = str(Path(fblsec.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fblsec.cli import main; sys.exit(main(sys.argv[1:]))",
-             "cipc", *flags],
+             *flags],
             env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True,
         )
         assert proc.returncode == 2 and proc.stdout == ""

@@ -32,8 +32,8 @@ def _sinr_pair(
     theta = cfg.theta_bob if theta_hat is None else float(theta_hat)
     w = lob_beamformer(theta, cfg.n_antennas)
     return (
-        float(_sinr(*_gains(np.asarray(h_bob), w), cfg, cfg.noise_power_bob)),
-        float(_sinr(*_gains(np.asarray(h_eve), w), cfg, cfg.noise_power_eve)),
+        float(_sinr(*_gains(np.asarray(h_bob), w), cfg, cfg.noise_power_bob)[0]),
+        float(_sinr(*_gains(np.asarray(h_eve), w), cfg, cfg.noise_power_eve)[0]),
     )
 
 
@@ -286,6 +286,28 @@ class TestRunLob:
             run_lob(cfg)
         with pytest.raises(ValueError, match=f"{name}=1e-320 exceeds the largest double"):
             optimize_an_fraction(cfg, [0.0, 0.5])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # (1 - phi) P |h^H w|^2 passes the largest double before the noise division.
+            (dict(trials=50, total_power=1e308, an_fraction=0.5),
+             r"^Bob's received power overflows to inf: at total_power=1e\+308 it "),
+            # Bob's LOS gain is exactly N; Eve's Rayleigh gain passes it on some trial.
+            # Bob's SINR overflows too, but a power is blamed before a noise power.
+            (dict(total_power=1.7976931348623157e308, an_fraction=0.8, k_factor_bob=math.inf,
+                  k_factor_eve=0.0, theta_eve=0.0),
+             r"^Eve's received power overflows to inf: at total_power=1\.7976931348623157e\+308 "),
+        ],
+    )
+    def test_power_overflow_names_total_power(self, overrides, message):
+        # Only the noise division may be blamed on a noise power.
+        cfg = make_config(**overrides)
+        with pytest.raises(ValueError, match=message):
+            run_lob(cfg)
+        with pytest.raises(ValueError, match=message):
+            optimize_an_fraction(cfg, [cfg.an_fraction, 0.9])
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
     def test_location_error_must_be_finite_and_nonnegative(self, value):

@@ -487,7 +487,7 @@ class TestRateIntervalBatch:
         cfg = SimpleNamespace(blocklength=500, constraints=CP, approx=fb_coding.DEFAULT_APPROXIMATION,
                               noise_power_bob=1e-320, noise_power_eve=0.5)
         with pytest.raises(ValueError, match="Bob's SNR overflows to inf: .* noise_power_bob=1e-320"):
-            _simulated_intervals(cfg, np.array([GB, math.inf]), np.array([GE, GE]))
+            _simulated_intervals(cfg, np.array([GB, math.inf]), np.array([GE, GE]), {}, "")
         # Any other refusal keeps rate_interval_batch's own message.
         with pytest.raises(ValueError, match="SNR must be positive and finite, got nan"):
-            _simulated_intervals(cfg, np.array([GB, GB]), np.array([GE, math.nan]))
+            _simulated_intervals(cfg, np.array([GB, GB]), np.array([GE, math.nan]), {}, "")

@@ -1,6 +1,6 @@
 """Compare the CLI of two fblsec source trees on a fixed set of command lines.
 
-usage: python tools/cli_diff.py OLD_SRC NEW_SRC [--lob-tol]
+usage: python tools/cli_diff.py OLD_SRC NEW_SRC
 
 Each case runs every command line of its list, in order, in a fresh
 interpreter inside one empty directory, and records the exit code, stdout,
@@ -10,16 +10,13 @@ under such a warning are masked, since none of them is output of the
 program. The argparse spec of every subcommand (flags, dests, types, defaults,
 required-ness, nargs, metavar, help) is compared too.
 
-A case passes when both trees give identical results, or when the only
-differences are allowed: "wrote 1 rows" becoming "wrote 1 row", and, with
---lob-tol, numeric cells of ``lob`` CSVs and summary values that agree to
-1e-12 relative. The exit code is 1 when any case differs otherwise.
+A case passes only when both trees give identical results, byte for
+byte; the exit code is 1 when any case differs.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import subprocess
@@ -157,6 +154,8 @@ CASES = [
     _one("cipc", "--trials", "200", "--q-target", "1e308", "--p-max", "inf"),
     _one("cipc", "--trials", "20", "--antennas", "4", "--q-target", "1e308", "--p-max", "1e308",
          "--sigma-delta", "0.5", "--seed", "0"),
+    _one("lob", "--trials", "50", "--power", "1e308", "--an-fraction", "0.5"),
+    _one("optimize-an", "--trials", "50", "--power", "1e308", "--phi-grid", "0", "0.5"),
     # config files and manifest replay
     [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
      ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
@@ -217,73 +216,28 @@ def collect(src: str) -> dict:
     return result
 
 
-def _close(x: str, y: str) -> bool:
-    try:
-        return x == y or math.isclose(float(x), float(y), rel_tol=1e-12, abs_tol=0.0)
-    except ValueError:
-        return False
-
-
-def differences(key: str, old: dict, new: dict, lob_tol: bool) -> tuple[list[str], list[str]]:
-    """(allowed, disallowed) differences of one case."""
-    allowed, bad = [], []
-    lob = lob_tol and key.split(" ")[0] == "lob"
+def differences(old: dict, new: dict) -> list[str]:
+    """What differs between the results of one case on the two trees."""
+    bad = []
     for r_old, r_new in zip(old["runs"], new["runs"]):
-        for stream in ("code", "stderr"):
+        for stream in ("code", "stdout", "stderr"):
             if r_old[stream] != r_new[stream]:
                 bad.append(f"{stream}: {r_old[stream]!r} vs {r_new[stream]!r}"[:300])
-        lines_old, lines_new = r_old["stdout"].split("\n"), r_new["stdout"].split("\n")
-        if len(lines_old) != len(lines_new):
-            bad.append("stdout line count")
-        for x, y in zip(lines_old, lines_new):
-            if x == y:
-                continue
-            if x.replace("wrote 1 rows", "wrote 1 row") == y:
-                allowed.append("wrote 1 row")
-            elif lob and x.split(" = ")[0] == y.split(" = ")[0] and _close(
-                x.split(" = ")[-1], y.split(" = ")[-1]
-            ):
-                allowed.append("summary value within 1e-12")
-            else:
-                bad.append(f"stdout: {x!r} vs {y!r}")
     if sorted(old["files"]) != sorted(new["files"]):
         bad.append(f"files {sorted(old['files'])} vs {sorted(new['files'])}")
-    for name, text_old in old["files"].items():
-        text_new = new["files"].get(name)
-        if text_new is None or text_old == text_new:
-            continue
-        rows_old, rows_new = text_old.split("\n"), text_new.split("\n")
-        if lob and len(rows_old) == len(rows_new) and all(
-            len(a.split(",")) == len(b.split(","))
-            and all(_close(p, q) for p, q in zip(a.split(","), b.split(",")))
-            for a, b in zip(rows_old, rows_new)
-        ):
-            changed = sum(a != b for a, b in zip(rows_old, rows_new))
-            allowed.append(f"{name}: {changed} rows within 1e-12 relative")
-        else:
-            bad.append(f"file {name} differs")
-    return allowed, bad
+    bad += [f"file {name} differs" for name, text in old["files"].items()
+            if new["files"].get(name, text) != text]
+    return bad
 
 
 def main() -> int:
-    old_src, new_src = sys.argv[1], sys.argv[2]
-    lob_tol = "--lob-tol" in sys.argv[3:]
-    old, new = collect(old_src), collect(new_src)
-    identical = allowed_count = bad_count = 0
-    for key in old:
-        if old[key] == new[key]:
-            identical += 1
-            continue
-        if key == "<parser spec>":
-            print("DIFFERS <parser spec>")
-            bad_count += 1
-            continue
-        allowed, bad = differences(key, old[key], new[key], lob_tol)
-        print(("DIFFERS " if bad else "ALLOWED ") + key + " :: " + "; ".join(sorted(set(allowed + bad))))
-        bad_count += bool(bad)
-        allowed_count += not bad
-    print(f"identical={identical} allowed={allowed_count} differing={bad_count} total={len(old)}")
-    return 1 if bad_count else 0
+    old, new = collect(sys.argv[1]), collect(sys.argv[2])
+    differing = [key for key in old if old[key] != new[key]]
+    for key in differing:
+        detail = "" if key == "<parser spec>" else " :: " + "; ".join(differences(old[key], new[key]))
+        print("DIFFERS " + key + detail)
+    print(f"identical={len(old) - len(differing)} differing={len(differing)} total={len(old)}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
