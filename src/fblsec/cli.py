@@ -10,6 +10,10 @@ Each subcommand is one entry of ``_COMMANDS``: its flags and a function
 that computes a ``_Report`` without printing or writing anything.
 ``_emit`` turns every report into output the same way.
 
+fblsec's own modules are imported inside the functions that compute with
+them, so building the parser, ``--version`` and ``-h`` load none of them
+and each command loads only what it uses.
+
 Exit codes: 0 success, 2 invalid arguments or config parse error,
 3 unsatisfiable scenario, 4 I/O failure.
 """
@@ -21,17 +25,17 @@ import functools
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__, fb_coding
-from .channels import ReciprocityError
-from .cipc import CipcConfig, optimize_q, run_cipc
-from .fb_coding import ApproximationConfig, db_to_linear, linear_to_db
-from .lob import LobConfig, optimize_an_fraction, run_lob
-from .numerics import RngSeed, UnsatisfiableError
-from .secrecy import ConstraintPair, RateIntervals, min_blocklength, rate_interval, security_gap
+from . import __version__
+
+if TYPE_CHECKING:
+    from .cipc import CipcConfig
+    from .fb_coding import ApproximationConfig
+    from .lob import LobConfig
+    from .secrecy import ConstraintPair, RateIntervals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -545,10 +549,14 @@ _LOB_FLAGS = (
 
 
 def _approx(args) -> ApproximationConfig:
+    from .fb_coding import ApproximationConfig
+
     return ApproximationConfig(include_log_term=args.log_term)
 
 
 def _constraints(args) -> ConstraintPair:
+    from .secrecy import ConstraintPair
+
     return ConstraintPair(beta_b=args.beta_b, beta_e=args.beta_e)
 
 
@@ -571,10 +579,12 @@ def _assessment_cells(a) -> tuple[str, ...]:
     out_required=True,
 )
 def _fig2(args) -> _Report:
+    from .fb_coding import capacity, db_to_linear, error_probability
+
     if args.steps < 2:
         raise ValueError("--steps must be >= 2 for a rate grid")
     gamma = db_to_linear(args.snr_db)
-    cap = fb_coding.capacity(gamma)
+    cap = capacity(gamma)
     rate_min = 0.1 * cap if args.rate_min is None else args.rate_min
     rate_max = 1.2 * cap if args.rate_max is None else args.rate_max
     if not rate_min < rate_max:
@@ -582,7 +592,7 @@ def _fig2(args) -> _Report:
     cfg = _approx(args)
     rates = np.linspace(rate_min, rate_max, args.steps)
     points = [
-        (n, float(r), fb_coding.error_probability(n, float(r), gamma, cfg))
+        (n, float(r), error_probability(n, float(r), gamma, cfg))
         for n in args.n_list
         for r in rates
     ]
@@ -613,6 +623,9 @@ def _log_spaced_ints(lo: int, hi: int, count: int) -> list[int]:
     out_required=True,
 )
 def _fig3(args) -> _Report:
+    from .fb_coding import db_to_linear
+    from .secrecy import rate_interval
+
     n_grid = _log_spaced_ints(args.n_min, args.n_max, args.n_count)
     gamma_b = db_to_linear(args.snr_b_db)
     gamma_e = db_to_linear(args.snr_e_db)
@@ -633,6 +646,9 @@ def _fig3(args) -> _Report:
     *_CONSTRAINT_FLAGS,
 )
 def _gap(args) -> _Report:
+    from .fb_coding import linear_to_db
+    from .secrecy import security_gap
+
     result = security_gap(args.n, args.rate, _constraints(args), _approx(args))
     snr_b_min_db = linear_to_db(result.snr_b_min)
     snr_e_max_db = linear_to_db(result.snr_e_max)
@@ -655,6 +671,9 @@ def _gap(args) -> _Report:
 
 @_command("interval", "rate interval of one scenario", _N, _SNR_B, _SNR_E, *_CONSTRAINT_FLAGS)
 def _interval(args) -> _Report:
+    from .fb_coding import db_to_linear
+    from .secrecy import rate_interval
+
     a = rate_interval(
         args.n,
         db_to_linear(args.snr_b_db),
@@ -683,6 +702,9 @@ def _interval(args) -> _Report:
     *_CONSTRAINT_FLAGS,
 )
 def _minblock(args) -> _Report:
+    from .fb_coding import db_to_linear
+    from .secrecy import min_blocklength
+
     n_star = min_blocklength(
         db_to_linear(args.snr_b_db),
         db_to_linear(args.snr_e_db),
@@ -699,6 +721,10 @@ def _minblock(args) -> _Report:
 
 
 def _cipc_config(args, q_target: float) -> CipcConfig:
+    from .channels import ReciprocityError
+    from .cipc import CipcConfig
+    from .numerics import RngSeed
+
     return CipcConfig(
         q_target=q_target,
         p_max=args.p_max,
@@ -725,6 +751,8 @@ def _cipc_rows(result) -> Iterator[tuple[bytearray, int]]:
     *_CIPC_FLAGS,
 )
 def _cipc(args) -> _Report:
+    from .cipc import run_cipc
+
     result = run_cipc(_cipc_config(args, args.q_target))
     s = result.summary
     return _Report(
@@ -741,6 +769,9 @@ def _cipc(args) -> _Report:
 
 
 def _lob_config(args, an_fraction: float) -> LobConfig:
+    from .lob import LobConfig
+    from .numerics import RngSeed
+
     return LobConfig(
         n_antennas=args.antennas,
         theta_bob=math.radians(args.theta_bob_deg),
@@ -766,6 +797,8 @@ def _lob_rows(result) -> Iterator[tuple[bytearray, int]]:
 
 @_command("lob", "location-based beamforming Monte Carlo", *_LOB_FLAGS)
 def _lob(args) -> _Report:
+    from .lob import run_lob
+
     result = run_lob(_lob_config(args, args.an_fraction))
     s = result.summary
     return _Report(
@@ -797,6 +830,8 @@ def _grid_report(name: str, best: float, curve: list[tuple[float, float]]) -> _R
     *_CIPC_FLAGS,
 )
 def _optimize_q(args) -> _Report:
+    from .cipc import optimize_q
+
     result = optimize_q(_cipc_config(args, args.q_grid[0]), args.q_grid)
     return _grid_report("q", result.q_star, result.objective_curve)
 
@@ -809,6 +844,8 @@ def _optimize_q(args) -> _Report:
     *(flag for flag in _LOB_FLAGS if flag is not _AN_FRACTION),
 )
 def _optimize_an(args) -> _Report:
+    from .lob import optimize_an_fraction
+
     result = optimize_an_fraction(_lob_config(args, args.phi_grid[0]), args.phi_grid)
     return _grid_report("phi", result.phi_star, result.objective_curve)
 
@@ -847,6 +884,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    from .numerics import UnsatisfiableError
+
     command = _COMMANDS[args.command]
     try:
         return _emit(args.command, command.out_required, args, command.run(args))

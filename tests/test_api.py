@@ -23,10 +23,11 @@ REMOVED = [
 
 
 def _public_bindings() -> set[str]:
+    # dir(), not vars(): the package binds a name only once it is first used.
     return {
         name
-        for name, value in vars(fblsec).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(fblsec)
+        if not name.startswith("_") and not isinstance(getattr(fblsec, name), types.ModuleType)
     }
 
 

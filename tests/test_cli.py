@@ -19,6 +19,14 @@ from fblsec.lob import run_lob
 from fblsec.fb_coding import capacity, db_to_linear, linear_to_db
 
 
+def fresh_python(cwd, code: str, *argv: str) -> subprocess.CompletedProcess:
+    """code run with argv in a fresh interpreter that imports this fblsec."""
+    src = str(Path(fblsec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
 def read(path):
     return path.read_bytes()
 
@@ -288,11 +296,8 @@ class TestErrorPaths:
     )
     def test_power_overflow_names_q_target(self, flags, message, tmp_path):
         # A fresh interpreter, so a numpy warning would print to stderr.
-        src = str(Path(fblsec.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from fblsec.cli import main; sys.exit(main(sys.argv[1:]))",
-             *flags],
-            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True,
+        proc = fresh_python(
+            tmp_path, "import sys; from fblsec.cli import main; sys.exit(main(sys.argv[1:]))", *flags
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: invalid arguments: {message} it exceeds the largest double\n"
@@ -851,12 +856,90 @@ print(json.dumps(refused))
 
 
 def test_package_cli_and_every_public_callable_run_without_scipy(tmp_path):
-    src = str(Path(fblsec.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = _NO_SCIPY.replace("SMALL_ARGV", repr(SMALL_ARGV))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
-    )
+    proc = fresh_python(tmp_path, _NO_SCIPY.replace("SMALL_ARGV", repr(SMALL_ARGV)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(c + ".csv" for c in SMALL_ARGV)
+
+
+# ----------------------------------------------------------------------
+# the import path: what each entry point loads, each in a fresh interpreter
+# ----------------------------------------------------------------------
+
+# Runs fblsec.cli.main on argv and prints its exit code and the fblsec
+# modules then loaded.
+_LOADS = r"""
+import contextlib, io, json, sys
+import fblsec.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fblsec.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fblsec"))]))
+"""
+
+_METRICS = {"fb_coding", "numerics", "secrecy"}
+# The submodules each command loads besides fblsec and fblsec.cli: none
+# loads ber, the metric commands load no simulator, and each simulator
+# command loads its own simulator only.
+COMMAND_MODULES = {
+    "fig2": {"fb_coding", "numerics"},
+    "fig3": _METRICS,
+    "gap": _METRICS,
+    "interval": _METRICS,
+    "minblock": _METRICS,
+    "cipc": _METRICS | {"channels", "cipc"},
+    "lob": _METRICS | {"channels", "lob"},
+    "optimize-q": _METRICS | {"channels", "cipc"},
+    "optimize-an": _METRICS | {"channels", "lob"},
+}
+
+
+def _loads(tmp_path, *argv: str) -> tuple[int, set[str]]:
+    proc = fresh_python(tmp_path, _LOADS, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+class TestImportPath:
+    def test_package_loads_no_submodule_and_no_numpy(self, tmp_path):
+        proc = fresh_python(tmp_path, "import json, sys, fblsec; print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        modules = json.loads(proc.stdout)
+        assert [m for m in modules if m.startswith("fblsec")] == ["fblsec"]
+        assert "numpy" not in modules
+
+    def test_version_loads_only_the_cli(self, tmp_path):
+        assert _loads(tmp_path, "--version") == (0, {"fblsec", "fblsec.cli"})
+
+    def test_table_covers_every_command(self):
+        assert set(COMMAND_MODULES) == set(SMALL_ARGV)
+
+    @pytest.mark.parametrize("command", list(SMALL_ARGV))
+    def test_command_loads_only_its_modules(self, command, tmp_path):
+        code, modules = _loads(tmp_path, command, *SMALL_ARGV[command], "--out", "x.csv")
+        assert code == 0
+        assert modules == {"fblsec", "fblsec.cli"} | {f"fblsec.{m}" for m in COMMAND_MODULES[command]}
+
+    def test_public_names_resolve_on_first_use(self, tmp_path):
+        proc = fresh_python(tmp_path, r"""
+import sys, types
+import fblsec
+
+try:
+    fblsec.x
+except AttributeError as e:
+    assert str(e) == "module 'fblsec' has no attribute 'x'", e
+else:
+    raise AssertionError("fblsec.x resolved")
+assert fblsec.cipc is sys.modules["fblsec.cipc"] and isinstance(fblsec.cipc, types.ModuleType)
+names = {}
+exec("from fblsec import *", names)
+assert set(names) - {"__builtins__"} == set(fblsec.__all__)
+for name in fblsec.__all__[:-1]:
+    value = names[name]
+    assert value.__module__.startswith("fblsec."), name
+    assert value is getattr(sys.modules[value.__module__], name) is getattr(fblsec, name), name
+    assert vars(fblsec)[name] is value, name  # bound: the next lookup is a dict hit
+assert fblsec.__all__[-1] == "__version__" and names["__version__"] == fblsec.__version__
+""")
+        assert proc.returncode == 0, proc.stderr
