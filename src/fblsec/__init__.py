@@ -21,7 +21,7 @@ _EXPORTS = {
     "channels": ("ReciprocityError", "RicianSpec", "apply_reciprocity_error", "sample_rayleigh",
                  "sample_rician", "steering_vector"),
     "cipc": ("CipcConfig", "CipcResult", "CipcSummary", "QOptimum", "optimize_q", "run_cipc"),
-    "fb_coding": ("ApproximationConfig", "RateBound", "capacity", "db_to_linear", "dispersion",
+    "fb_coding": ("ApproximationConfig", "capacity", "db_to_linear", "dispersion",
                   "error_probability", "linear_to_db", "max_rate"),
     "lob": ("AnOptimum", "LobConfig", "LobResult", "LobSummary", "optimize_an_fraction", "run_lob"),
     "numerics": ("RngSeed", "UnsatisfiableError", "binomial_cdf", "q_func", "q_func_inv"),

@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fb_coding import SNR_BRACKET_DB, _check_snr, db_to_linear, linear_to_db
-from .numerics import _SQRT2, UnsatisfiableError, _as_count, _binomial_sum, binomial_cdf, brent_root
+from .fb_coding import SNR_BRACKET_DB, _check_snr, _snr_root, db_to_linear, linear_to_db
+from .numerics import _SQRT2, UnsatisfiableError, _as_count, _binomial_sum, binomial_cdf
+from .secrecy import SecurityGap
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +54,7 @@ class BerThresholds:
 
 
 @dataclass(frozen=True, slots=True)
-class BerSecurityGap:
+class BerSecurityGap(SecurityGap):
     """SNR thresholds from BER constraints and their ratio.
 
     ``bob_at_bracket_edge`` / ``eve_at_bracket_edge`` mark a threshold met at
@@ -62,10 +63,6 @@ class BerSecurityGap:
     end, not a root. At the high end every code's BER is exactly 0.
     """
 
-    snr_b_min: float
-    snr_e_max: float
-    gap_linear: float
-    gap_db: float
     bob_at_bracket_edge: bool = False
     eve_at_bracket_edge: bool = False
 
@@ -146,40 +143,6 @@ def _crossover_at_db(snr_db: float) -> float:
     return 0.5 * math.erfc(math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)) / _SQRT2)
 
 
-def _solve_snr_for_ber(
-    ber: Callable[[float], float],
-    ends: tuple[float, float],
-    target: float,
-    want_at_most: bool,
-    side: str,
-) -> tuple[float, bool]:
-    # ber(bsc_crossover(snr)), a code's _ber_curve, is nonincreasing in SNR;
-    # ends holds its values at the two bracket ends, the high one exactly 0.0.
-    lo_db, hi_db = SNR_BRACKET_DB
-    lo = db_to_linear(lo_db)
-    ber_lo, ber_hi = ends
-    if want_at_most:
-        # Smallest SNR with BER <= target (reliability side).
-        if ber_lo <= target:
-            return lo, True
-    elif ber_lo < target:
-        # Largest SNR with BER >= target (security side), below the bracket.
-        # The BER ceiling is its zero-SNR limit (flip rate 1/2); the 1e-12
-        # slack absorbs the lgamma rounding of that sum.
-        ceiling = ber(0.5)
-        if target <= ceiling + 1e-12:
-            # Attained only in the zero-SNR limit.
-            return lo, True
-        raise UnsatisfiableError(
-            f"{side}: post-decoding BER never reaches {target}; its "
-            f"ceiling at zero SNR is {ceiling:.6g}"
-        )
-
-    root_db = brent_root(lambda snr_db: ber(_crossover_at_db(snr_db)) - target,
-                         lo_db, hi_db, ber_lo - target, ber_hi - target, xtol=1e-12)
-    return db_to_linear(root_db), False
-
-
 def ber_security_gap(code: CodeSpec, thresholds: BerThresholds) -> BerSecurityGap:
     """Security gap SNR_b,min / SNR_e,max from post-decoding BER thresholds.
 
@@ -188,13 +151,31 @@ def ber_security_gap(code: CodeSpec, thresholds: BerThresholds) -> BerSecurityGa
     side returns the bracket edge with the corresponding flag set.
     """
     ber = _ber_curve(code)
-    ends = tuple(ber(_crossover_at_db(snr_db)) for snr_db in SNR_BRACKET_DB)
-    snr_b_min, bob_edge = _solve_snr_for_ber(
-        ber, ends, thresholds.p_ber_max_b, True, "reliability constraint (Bob)"
-    )
-    snr_e_max, eve_edge = _solve_snr_for_ber(
-        ber, ends, thresholds.p_ber_min_e, False, "security constraint (Eve)"
-    )
+
+    def curve(snr_db: float) -> float:
+        # Nonincreasing in SNR, and exactly 0.0 at the high bracket end.
+        return ber(_crossover_at_db(snr_db))
+
+    lo_db, hi_db = SNR_BRACKET_DB
+    ends = (curve(lo_db), curve(hi_db))
+    lo = db_to_linear(lo_db)
+    # Smallest SNR with BER <= target (reliability side).
+    bob_edge = ends[0] <= thresholds.p_ber_max_b
+    snr_b_min = lo if bob_edge else _snr_root(curve, ends, thresholds.p_ber_max_b)
+    # Largest SNR with BER >= target (security side), below the bracket when
+    # even its low end falls short.
+    target = thresholds.p_ber_min_e
+    eve_edge = ends[0] < target
+    if eve_edge:
+        # The BER ceiling is its zero-SNR limit (flip rate 1/2), attained only
+        # in that limit; the 1e-12 slack absorbs the lgamma rounding of the sum.
+        ceiling = ber(0.5)
+        if not target <= ceiling + 1e-12:
+            raise UnsatisfiableError(
+                f"security constraint (Eve): post-decoding BER never reaches "
+                f"{target}; its ceiling at zero SNR is {ceiling:.6g}"
+            )
+    snr_e_max = lo if eve_edge else _snr_root(curve, ends, target)
     gap = snr_b_min / snr_e_max
     return BerSecurityGap(
         snr_b_min=snr_b_min,

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .numerics import _as_count, q_func, q_func_inv
+from .numerics import _as_count, brent_root, q_func, q_func_inv
 
 LOG2_E = math.log2(math.e)
 #: V(g) upper limit as g -> inf, (log2 e)^2.
@@ -40,18 +41,6 @@ class ApproximationConfig:
 
 
 DEFAULT_APPROXIMATION = ApproximationConfig()
-
-
-@dataclass(frozen=True, slots=True)
-class RateBound:
-    """A rate solved from an error-probability target.
-
-    ``clamped`` marks results whose raw formula value was negative and was
-    clamped to zero; such operating points admit no usable positive rate.
-    """
-
-    rate: float
-    clamped: bool
 
 
 def db_to_linear(db: float) -> float:
@@ -178,12 +167,13 @@ def max_rate(
     epsilon_target: float,
     gamma: float,
     cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> RateBound:
+) -> float:
     """Largest rate whose error probability does not exceed the target.
 
-    R* = C - sqrt(V/n) * Qinv(eps) + delta, clamped below at zero. For
-    unclamped results error_probability(n, R*, gamma) round-trips to the
-    target within 1e-9.
+    R* = C - sqrt(V/n) * Qinv(eps) + delta, clamped below at zero: a
+    ceiling of exactly 0.0 admits no usable positive rate. For a positive
+    R*, error_probability(n, R*, gamma) round-trips to the target within
+    1e-9.
     """
     n = _check_blocklength(n)
     epsilon_target = float(epsilon_target)
@@ -193,6 +183,17 @@ def max_rate(
         )
     gamma = _check_snr(gamma)
     rate = _rate_bound(n, epsilon_target, gamma, cfg)
-    if rate < 0.0:
-        return RateBound(0.0, True)
-    return RateBound(rate, False)
+    return 0.0 if rate < 0.0 else rate
+
+
+def _snr_root(curve_db: Callable[[float], float], ends: tuple[float, float], target: float) -> float:
+    """The linear SNR at which curve_db, a monotone function of the SNR in
+    dB, meets target, by a Brent step over SNR_BRACKET_DB in dB.
+
+    ends holds curve_db's values at the two bracket ends, which the caller
+    has checked lie on either side of target (or on it).
+    """
+    lo_db, hi_db = SNR_BRACKET_DB
+    root_db = brent_root(lambda snr_db: curve_db(snr_db) - target, lo_db, hi_db,
+                         ends[0] - target, ends[1] - target, xtol=1e-12)
+    return db_to_linear(root_db)

@@ -110,24 +110,32 @@ def _gains(h: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sinr(gain: np.ndarray, leakage: np.ndarray, cfg: LobConfig, noise_power: float) -> tuple:
-    """(SINR, signal power) of a receiver from its beam gain and AN leakage.
+    """(SINR, signal power, interference-plus-noise power) of a receiver
+    from its beam gain and AN leakage.
 
     Signal power is (1-phi) P |h^H w|^2; artificial noise adds
     (phi P / (N-1)) ||h^H V||^2 on top of thermal noise.
     """
     an = cfg.an_fraction * cfg.total_power / (cfg.n_antennas - 1) * leakage
     signal = (1.0 - cfg.an_fraction) * cfg.total_power * gain
-    return signal / (an + noise_power), signal
+    interference = an + noise_power
+    return signal / interference, signal, interference
 
 
 def _score(bob, eve, cfg: LobConfig) -> tuple[np.ndarray, np.ndarray, RateIntervals]:
     """Bob's and Eve's SINR columns from their (gain, leakage) pairs, and
     the rate intervals of those."""
-    with np.errstate(over="ignore"):  # an SINR of inf is refused below, by the input at fault
-        sinr_bob, rx_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
-        sinr_eve, rx_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
-    powers = {"Bob's received power": rx_bob, "Eve's received power": rx_eve}
-    a = _simulated_intervals(cfg, sinr_bob, sinr_eve, powers, f"total_power={cfg.total_power!r}")
+    overflows = []
+    # An overflow is refused below, by the input at fault: an SINR of inf, or
+    # an interference power of inf, which would read as an SINR of 0.
+    with np.errstate(over="call", call=lambda kind, flag: overflows.append(kind)):
+        sinr_bob, rx_bob, interf_bob = _sinr(*bob, cfg, cfg.noise_power_bob)
+        sinr_eve, rx_eve, interf_eve = _sinr(*eve, cfg, cfg.noise_power_eve)
+    powers = {"Bob's received power": rx_bob, "Eve's received power": rx_eve,
+              "Bob's interference-plus-noise power": interf_bob,
+              "Eve's interference-plus-noise power": interf_eve}
+    a = _simulated_intervals(cfg, sinr_bob, sinr_eve, powers, f"total_power={cfg.total_power!r}",
+                             bool(overflows))
     return sinr_bob, sinr_eve, a
 
 

@@ -29,7 +29,7 @@ from .fb_coding import (
     db_to_linear,
     linear_to_db,
 )
-from .numerics import UnsatisfiableError, brent_root, q_func_inv
+from .numerics import UnsatisfiableError, q_func_inv
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,15 +64,14 @@ class SecrecyAssessment:
     """Rate interval of one (n, gamma_b, gamma_e, constraints) scenario.
 
     delta_r = r_sup - r_inf; the scenario is feasible iff delta_r >= 0.
-    ``r_sup_clamped`` marks scenarios whose raw rate ceiling was negative
-    (no usable rate at all); these are reported with r_sup = 0.
+    A scenario whose raw rate ceiling was negative (no usable rate at all)
+    is reported with r_sup = 0.0, as max_rate clamps it.
     """
 
     r_sup: float
     r_inf: float
     delta_r: float
     feasible: bool
-    r_sup_clamped: bool = False
 
 
 class RateIntervals(NamedTuple):
@@ -82,7 +81,6 @@ class RateIntervals(NamedTuple):
     r_inf: np.ndarray
     delta_r: np.ndarray
     feasible: np.ndarray
-    r_sup_clamped: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +100,7 @@ def r_sup(
     cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
 ) -> float:
     """Rate ceiling from the reliability constraint; increasing in n and gamma_b."""
-    return fb_coding.max_rate(n, beta_b, gamma_b, cfg).rate
+    return fb_coding.max_rate(n, beta_b, gamma_b, cfg)
 
 
 def r_inf(
@@ -154,13 +152,12 @@ def rate_interval(
     """
     ceiling = fb_coding.max_rate(n, constraints.beta_b, gamma_b, cfg)
     floor = r_inf(n, constraints.beta_e, gamma_e, cfg)
-    delta = ceiling.rate - floor
+    delta = ceiling - floor
     return SecrecyAssessment(
-        r_sup=ceiling.rate,
+        r_sup=ceiling,
         r_inf=floor,
         delta_r=delta,
         feasible=delta >= 0.0,
-        r_sup_clamped=ceiling.clamped,
     )
 
 
@@ -177,8 +174,8 @@ def rate_interval_batch(
     Unlike the scalar call it accepts SNRs of exactly zero, as the physical
     limit: a receiver with no signal power decodes nothing. At Eve every
     rate is then secure (floor zero); at Bob the reliability target is
-    unreachable, so the entry is infeasible with a zero, clamped ceiling
-    and delta_r = -r_inf. Every other entry is bit-identical to the scalar
+    unreachable, so the entry is infeasible with a zero ceiling and
+    delta_r = -r_inf. Every other entry is bit-identical to the scalar
     rate_interval of its SNR pair: the same checks and messages, the same
     float operations in the same order, Qinv evaluated once per constraint.
     The beta_e > 0.5 warning is emitted once per call, and only when some
@@ -190,8 +187,7 @@ def rate_interval_batch(
         raise ValueError(f"SNR arrays differ in shape: {gamma_b.shape} vs {gamma_e.shape}")
     bob_on = fb_coding._check_snrs(gamma_b) > 0.0
     raw = fb_coding._rate_bound_batch(n, constraints.beta_b, gamma_b, cfg)
-    clamped = ~bob_on | (raw < 0.0)
-    r_sup = np.where(clamped, 0.0, raw)
+    r_sup = np.where(~bob_on | (raw < 0.0), 0.0, raw)
     eve_on = fb_coding._check_snrs(gamma_e) > 0.0
     if eve_on.any():
         _warn_if_beyond_guessing(constraints.beta_e, stacklevel=3)
@@ -201,55 +197,35 @@ def rate_interval_batch(
         floor = fb_coding._rate_bound_batch(n, constraints.beta_e, gamma_e, cfg)
     floor = np.where(eve_on, floor, 0.0)
     delta = np.where(bob_on, r_sup - floor, -floor)
-    return RateIntervals(r_sup, floor, delta, bob_on & (delta >= 0.0), clamped)
+    return RateIntervals(r_sup, floor, delta, bob_on & (delta >= 0.0))
 
 
-def _simulated_intervals(cfg, gamma_b, gamma_e, powers: dict, source: str) -> RateIntervals:
+def _simulated_intervals(cfg, gamma_b, gamma_e, powers: dict, source: str,
+                         overflowed: bool = False) -> RateIntervals:
     """rate_interval_batch of a simulator's SNR columns under its config. A
     refused run names the input at fault: an inf in a named power column
-    blames the inputs in source, an inf SNR its noise power."""
+    blames the inputs in source, an inf SNR its noise power. overflowed
+    says that computing the columns overflowed somewhere; the power columns
+    of such a run are scanned even when every SNR is accepted, since an
+    interference power of inf reads as an SNR of 0."""
     try:
-        return rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
-    except ValueError:
-        for what, power in powers.items():
-            if np.isinf(power).any():
-                raise ValueError(f"{what} overflows to inf: at {source} it exceeds the largest double")
-        for who, gamma in (("Bob", gamma_b), ("Eve", gamma_e)):
-            name = f"noise_power_{who.lower()}"
-            if np.isinf(gamma).any():
-                raise ValueError(f"{who}'s SNR overflows to inf: the received power over "
-                                 f"{name}={getattr(cfg, name)!r} exceeds the largest double")
-        raise
-
-
-def _solve_snr_for_error_prob(
-    n: int,
-    rate: float,
-    log_term: float,
-    ends: tuple[float, float],
-    target: float,
-    side: str,
-) -> float:
-    # error_probability is strictly decreasing in SNR, so the root in the
-    # bracket is unique when it exists. Solved in dB (log-SNR) space; ends
-    # holds the error probabilities at the two ends of the bracket.
-    lo_db, hi_db = SNR_BRACKET_DB
-
-    def residual(snr_db: float) -> float:
-        return fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term) - target
-
-    res_lo, res_hi = ends[0] - target, ends[1] - target
-    if res_lo < 0.0:
-        raise UnsatisfiableError(
-            f"{side}: error probability is already below {target} at the "
-            f"{lo_db} dB end of the search bracket"
-        )
-    if res_hi > 0.0:
-        raise UnsatisfiableError(
-            f"{side}: error probability stays above {target} even at the "
-            f"{hi_db} dB end of the search bracket"
-        )
-    return db_to_linear(brent_root(residual, lo_db, hi_db, res_lo, res_hi, xtol=1e-12))
+        intervals = rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
+        if not overflowed:
+            return intervals
+        refused = None
+    except ValueError as error:
+        refused = error
+    for what, power in powers.items():
+        if np.isinf(power).any():
+            raise ValueError(f"{what} overflows to inf: at {source} it exceeds the largest double")
+    if refused is None:
+        return intervals
+    for who, gamma in (("Bob", gamma_b), ("Eve", gamma_e)):
+        name = f"noise_power_{who.lower()}"
+        if np.isinf(gamma).any():
+            raise ValueError(f"{who}'s SNR overflows to inf: the received power over "
+                             f"{name}={getattr(cfg, name)!r} exceeds the largest double")
+    raise refused
 
 
 def security_gap(
@@ -273,14 +249,28 @@ def security_gap(
     n = fb_coding._check_blocklength(n)
     rate = fb_coding._check_rate(rate)
     log_term = fb_coding._log_term(n, cfg)
-    ends = tuple(fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term)
-                 for snr_db in SNR_BRACKET_DB)
-    snr_b_min = _solve_snr_for_error_prob(
-        n, rate, log_term, ends, constraints.beta_b, "reliability constraint (Bob)"
-    )
-    snr_e_max = _solve_snr_for_error_prob(
-        n, rate, log_term, ends, constraints.beta_e, "security constraint (Eve)"
-    )
+
+    def curve(snr_db: float) -> float:
+        # Strictly decreasing in SNR, so a root in the bracket is unique.
+        return fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term)
+
+    lo_db, hi_db = SNR_BRACKET_DB
+    ends = (curve(lo_db), curve(hi_db))
+    snrs = []
+    for target, side in ((constraints.beta_b, "reliability constraint (Bob)"),
+                         (constraints.beta_e, "security constraint (Eve)")):
+        if ends[0] < target:
+            raise UnsatisfiableError(
+                f"{side}: error probability is already below {target} at the "
+                f"{lo_db} dB end of the search bracket"
+            )
+        if ends[1] > target:
+            raise UnsatisfiableError(
+                f"{side}: error probability stays above {target} even at the "
+                f"{hi_db} dB end of the search bracket"
+            )
+        snrs.append(fb_coding._snr_root(curve, ends, target))
+    snr_b_min, snr_e_max = snrs
     gap = snr_b_min / snr_e_max
     return SecurityGap(
         snr_b_min=snr_b_min,

@@ -152,19 +152,18 @@ def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAsses
     """LOB's assessment of one trial, zero SINRs included, from scalar calls.
 
     A receiver with no signal power decodes nothing: at Eve every rate is
-    secure (floor zero); at Bob the trial is infeasible with a zero,
-    clamped ceiling.
+    secure (floor zero); at Bob the trial is infeasible with a zero
+    ceiling.
     """
     if sinr_bob > 0.0 and sinr_eve > 0.0:
         return rate_interval(n, sinr_bob, sinr_eve, constraints, approx)
     if sinr_bob > 0.0:
         ceiling = fb_coding.max_rate(n, constraints.beta_b, sinr_bob, approx)
         return SecrecyAssessment(
-            r_sup=ceiling.rate,
+            r_sup=ceiling,
             r_inf=0.0,
-            delta_r=ceiling.rate,
+            delta_r=ceiling,
             feasible=True,
-            r_sup_clamped=ceiling.clamped,
         )
     floor = r_inf(n, constraints.beta_e, sinr_eve, approx) if sinr_eve > 0.0 else 0.0
     return SecrecyAssessment(
@@ -172,7 +171,6 @@ def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAsses
         r_inf=floor,
         delta_r=-floor,
         feasible=False,
-        r_sup_clamped=True,
     )
 
 

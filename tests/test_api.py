@@ -19,6 +19,7 @@ REMOVED = [
     ("cipc", "cipc_power"),
     ("cipc", "cipc_beamformer"),
     ("lob", "lob_beamformer"),
+    ("fb_coding", "RateBound"),
 ]
 
 

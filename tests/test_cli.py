@@ -292,6 +292,12 @@ class TestErrorPaths:
             # LOB names its power input the same way.
             (["lob", "--trials", "50", "--power", "1e308", "--an-fraction", "0.5"],
              "Bob's received power overflows to inf: at total_power=1e+308"),
+            # An artificial-noise power that overflows, which would read as an SINR of 0.
+            *((flags + ["--trials", "2000", "--power", "1.7976931348623157e308", "--noise-b",
+                        "1.7976931348623157e306", "--noise-e", "1.7976931348623157e306"],
+               "Eve's interference-plus-noise power overflows to inf: "
+               "at total_power=1.7976931348623157e+308")
+              for flags in (["lob", "--an-fraction", "0.9"], ["optimize-an", "--phi-grid", "0.9"])),
         ],
     )
     def test_power_overflow_names_q_target(self, flags, message, tmp_path):
@@ -812,7 +818,6 @@ called = {
     "LobResult": again(lob_run),
     "LobSummary": again(lob_run.summary),
     "QOptimum": again(q),
-    "RateBound": again(bound),
     "RateIntervals": again(batch),
     "ReciprocityError": err,
     "RicianSpec": rician,

@@ -125,7 +125,7 @@ class TestRateInterval:
 
     def test_clamped_marker(self):
         a = rate_interval(5, db_to_linear(-25.0), GE, CP)
-        assert a.r_sup == 0.0 and a.r_sup_clamped and not a.feasible
+        assert a.r_sup == 0.0 and not a.feasible
 
     def test_convergence_rate(self):
         c_sec = capacity(GB) - capacity(GE)
@@ -178,6 +178,27 @@ class TestSecurityGap:
         security_gap(500, 1.0, CP)
         assert len(calls) == 25
         assert len({gamma for _, _, gamma, _ in calls}) == len(calls)
+
+    def test_bob_is_blamed_first_when_both_sides_fail(self):
+        # At n = 1 and a vanishing rate, eps is 0.4997 at -60 dB, below
+        # beta_b = 0.6, and 1.03e-43 at 60 dB, above beta_e = 1e-50, so each
+        # side fails on its own; Bob's low end is checked first.
+        lo, hi = (error_probability(1, 1e-9, db_to_linear(db)) for db in SNR_BRACKET_DB)
+        assert lo < 0.6 and hi > 1e-50
+        with pytest.warns(RuntimeWarning, match="no stricter"):
+            both, eve_only = ConstraintPair(0.6, 1e-50), ConstraintPair(0.4, 1e-50)
+        with pytest.raises(UnsatisfiableError) as error:
+            security_gap(1, 1e-9, both)
+        assert str(error.value) == (
+            "reliability constraint (Bob): error probability is already below 0.6 "
+            "at the -60.0 dB end of the search bracket"
+        )
+        with pytest.raises(UnsatisfiableError) as error:
+            security_gap(1, 1e-9, eve_only)
+        assert str(error.value) == (
+            "security constraint (Eve): error probability stays above 1e-50 even "
+            "at the 60.0 dB end of the search bracket"
+        )
 
     def test_gap_shrinks_with_blocklength(self):
         gaps = [security_gap(n, 1.0, CP).gap_linear for n in (100, 200, 500, 1000, 2000, 10**6)]
@@ -412,7 +433,7 @@ class TestRateIntervalBatch:
             finite = np.isfinite(want)
             assert np.array_equal(got[~finite], want[~finite])
             np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=2)
-        assert batch.r_sup_clamped.tolist() == [a.r_sup_clamped for a in scalar]
+        assert (batch.r_sup == 0.0).tolist() == [a.r_sup == 0.0 for a in scalar]
         decided = np.abs(batch.delta_r) > 1e-12
         assert batch.feasible[decided].tolist() == [
             a.feasible for a, d in zip(scalar, decided.tolist()) if d
@@ -428,7 +449,7 @@ class TestRateIntervalBatch:
             warnings.simplefilter("ignore", RuntimeWarning)
             cp = ConstraintPair(1e-6, 1.0)
             a = rate_interval_batch(5, [db_to_linear(-25.0), GB], [GE, GE], cp)
-        assert a.r_sup[0] == 0.0 and a.r_sup_clamped.tolist() == [True, False]
+        assert (a.r_sup == 0.0).tolist() == [True, False]
         assert a.r_inf.tolist() == [math.inf, math.inf]
         assert a.delta_r.tolist() == [-math.inf, -math.inf] and not a.feasible.any()
 
@@ -460,7 +481,7 @@ class TestRateIntervalBatch:
             a = rate_interval_batch(500, [0.0, GB, 0.0], [0.0, 0.0, 0.0], cp)
         assert caught == []  # no Eve SNR is nonzero, so no beta_e warning
         assert a.r_sup.tolist() == [0.0, rate_interval(500, GB, GE, CP).r_sup, 0.0]
-        assert a.r_inf.tolist() == [0.0] * 3 and a.r_sup_clamped.tolist() == [True, False, True]
+        assert a.r_inf.tolist() == [0.0] * 3 and (a.r_sup == 0.0).tolist() == [True, False, True]
         assert a.feasible.tolist() == [False, True, False]
         assert np.signbit(a.delta_r).tolist() == [True, False, True]
         for args in ((0.0, GE), (GB, 0.0)):

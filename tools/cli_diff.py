@@ -8,10 +8,12 @@ stderr and every file left behind. The manifest ``timestamp`` line, the
 ``file.py:line:`` prefix of Python warnings and the source line printed
 under such a warning are masked, since none of them is output of the
 program. The argparse spec of every subcommand (flags, dests, types, defaults,
-required-ness, nargs, metavar, help) is compared too.
+required-ness, nargs, metavar, help) is compared too, and so is the
+digest that tools/query_digest.py prints for each tree, which covers the
+library's answers to every query of the metrics-queries pool.
 
 A case passes only when both trees give identical results, byte for
-byte; the exit code is 1 when any case differs.
+byte; the exit code is 1 when any case or the two digests differ.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 import tempfile
 
 RUN = "import sys; from fblsec.cli import main; sys.exit(main(sys.argv[1:]))"
+QUERY_DIGEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "query_digest.py")
 SPEC = r"""
 import argparse, json
 from fblsec import cli
@@ -122,6 +125,8 @@ CASES = [
          "--loc-error-deg", "0", "--trials", "30", "--out", "a.csv"),
     # error paths
     _one("gap", "--n", "500", "--rate", "99"),
+    # both sides unsatisfiable: Bob's low bracket end is checked first
+    _one("gap", "--n", "1", "--rate", "1e-9", "--beta-b", "0.6", "--beta-e", "1e-50"),
     _one("minblock", "--snr-b-db", "0", "--snr-e-db", "10", "--n-max", "1000", "--out", "m.csv"),
     _one("minblock", "--beta-e", "1.0"),
     _one("optimize-an", "--phi-grid", "0", "1.0", "--trials", "10"),
@@ -156,6 +161,10 @@ CASES = [
          "--sigma-delta", "0.5", "--seed", "0"),
     _one("lob", "--trials", "50", "--power", "1e308", "--an-fraction", "0.5"),
     _one("optimize-an", "--trials", "50", "--power", "1e308", "--phi-grid", "0", "0.5"),
+    # an artificial-noise power that overflows
+    *(_one(*flags, "--trials", "2000", "--power", "1.7976931348623157e308", "--noise-b",
+           "1.7976931348623157e306", "--noise-e", "1.7976931348623157e306")
+      for flags in (("lob", "--an-fraction", "0.9"), ("optimize-an", "--phi-grid", "0.9"))),
     # config files and manifest replay
     [["fig2", "--out", "a.csv", "--n-list", "300", "--steps", "10"],
      ["fig2", "--config", "a.csv.manifest", "--out", "b.csv"]],
@@ -191,8 +200,19 @@ def _mask(text: str) -> str:
     return re.sub(r"^\S+\.py:\d+: ", "<source>: ", text, flags=re.M)
 
 
+def _env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="100")
+
+
+def query_digest(src: str) -> str:
+    """The SHA-256 that tools/query_digest.py prints for the tree at src."""
+    p = subprocess.run([sys.executable, QUERY_DIGEST, src], env=_env(src), capture_output=True,
+                       text=True, check=True)
+    return p.stdout.split()[0]
+
+
 def collect(src: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="100")
+    env = _env(src)
     spec = subprocess.run([sys.executable, "-c", SPEC], env=env, capture_output=True,
                           text=True, check=True)
     result = {"<parser spec>": json.loads(spec.stdout)}
@@ -237,7 +257,9 @@ def main() -> int:
         detail = "" if key == "<parser spec>" else " :: " + "; ".join(differences(old[key], new[key]))
         print("DIFFERS " + key + detail)
     print(f"identical={len(old) - len(differing)} differing={len(differing)} total={len(old)}")
-    return 1 if differing else 0
+    digests = [query_digest(src) for src in sys.argv[1:3]]
+    print(("query digest " if digests[0] == digests[1] else "DIFFERS query digest ") + " vs ".join(digests))
+    return 1 if differing or digests[0] != digests[1] else 0
 
 
 if __name__ == "__main__":
