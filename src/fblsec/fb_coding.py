@@ -49,7 +49,7 @@ def db_to_linear(db: float) -> float:
 
 
 def linear_to_db(linear: float) -> float:
-    """Convert a positive linear power ratio to dB, by numpy's log10 as cli._db_cells."""
+    """Convert a positive linear power ratio to dB, by numpy's log10 as _rows._db_cells."""
     linear = float(linear)
     if not linear > 0.0:
         raise ValueError(f"dB conversion requires a positive ratio, got {linear!r}")

@@ -12,7 +12,7 @@ import pytest
 import math
 
 import fblsec
-from fblsec import __version__, cli
+from fblsec import __version__, _rows, cli
 from fblsec.cipc import run_cipc
 from fblsec.cli import _COMMANDS, main
 from fblsec.lob import run_lob
@@ -461,7 +461,7 @@ class TestSimulatorCsvFromColumns:
             [np.exp(rng.uniform(-700.0, 700.0, 20_000)), [0.0, 5e-324, 1.0, 10.0, math.inf]]
         )
         expected = [linear_to_db(x) if x > 0.0 else -math.inf for x in linear.tolist()]
-        assert cli._db_cells(linear).tolist() == expected
+        assert _rows._db_cells(linear).tolist() == expected
 
 
 def cell_texts(cells):
@@ -472,7 +472,7 @@ def cell_texts(cells):
 def kernel_cells(x):
     x = np.asarray(x, dtype=float)
     cells = np.zeros((*x.shape, 3), np.uint64)
-    cli._SciCells(x.shape)(x, cells)
+    _rows._SciCells(x.shape)(x, cells)
     return cell_texts(cells)
 
 
@@ -482,14 +482,14 @@ def reference_cells(x):
 
 @pytest.fixture
 def sci_calls(monkeypatch):
-    """The values that reach cli._sci, the kernel's fallback, while the test runs."""
+    """The values that reach _rows._sci, the kernel's fallback, while the test runs."""
     calls = []
 
     def sci(x):
         calls.append(float(x))
         return f"{float(x):.12e}"
 
-    monkeypatch.setattr(cli, "_sci", sci)
+    monkeypatch.setattr(_rows, "_sci", sci)
     return calls
 
 
@@ -555,7 +555,7 @@ class TestSciKernel:
 
     def test_a_block_shape_and_reused_buffers(self):
         rng = np.random.default_rng(20264)
-        kernel = cli._SciCells((64, 6))
+        kernel = _rows._SciCells((64, 6))
         for rows in (64, 17, 1):
             x = rng.normal(0.0, 10.0, (rows, 6)) * 10.0 ** rng.integers(-20, 20, (rows, 6))
             cells = np.zeros((rows, 6, 3), np.uint64)
@@ -598,12 +598,12 @@ class TestSimulatorRowAssembly:
     def test_trial_ids_at_every_decimal_width(self):
         ids = sorted({0, 1, 2**32 - 2, 2**32 - 1} | {10**k + d for k in range(1, 10) for d in (-1, 0)})
         chars = np.zeros((len(ids), 12), np.uint8)
-        cli._id_cells(np.array(ids), chars)
+        _rows._id_cells(np.array(ids), chars)
         assert [row.tobytes().replace(b"\0", b"").decode() for row in chars] == [str(i) for i in ids]
 
-    @pytest.mark.parametrize("offset, last_blocks", [(-1, [-1]), (0, [0]), (1, [0, 1 - cli._BLOCK_TRIALS])])
+    @pytest.mark.parametrize("offset, last_blocks", [(-1, [-1]), (0, [0]), (1, [0, 1 - _rows._BLOCK_TRIALS])])
     def test_trial_counts_around_a_block(self, offset, last_blocks, tmp_path):
-        argv = ["cipc", "--trials", str(2 * cli._BLOCK_TRIALS + offset), "--antennas", "4",
+        argv = ["cipc", "--trials", str(2 * _rows._BLOCK_TRIALS + offset), "--antennas", "4",
                 "--p-max", "0.4", "--sigma-delta", "0.1"]
         out = tmp_path / "c.csv"
         assert main([*argv, "--out", str(out)]) == 0
@@ -611,12 +611,12 @@ class TestSimulatorRowAssembly:
         result = run_cipc(cli._cipc_config(args, args.q_target))
         assert read(out).decode().splitlines()[1:] == _cipc_lines(result)
         # rows per block, less the block size
-        rows = [count - cli._BLOCK_TRIALS for _, count in cli._cipc_rows(result)]
+        rows = [count - _rows._BLOCK_TRIALS for _, count in cli._cipc_rows(result)]
         assert rows == [0, *last_blocks]
 
     def test_a_block_of_suspended_trials_between_mixed_ones(self):
         rng = np.random.default_rng(20265)
-        b = cli._BLOCK_TRIALS
+        b = _rows._BLOCK_TRIALS
         sent = rng.random(3 * b + 5) < 0.7
         sent[b:2 * b] = False
         sent[-3:] = True
@@ -649,13 +649,13 @@ class TestSimulatorRowAssembly:
 def kernel_rows(monkeypatch):
     """The rows of each array that reaches the cell kernel while the test runs."""
     rows = []
-    call = cli._SciCells.__call__
+    call = _rows._SciCells.__call__
 
     def counted(self, x, cells):
         rows.append(len(x))
         call(self, x, cells)
 
-    monkeypatch.setattr(cli._SciCells, "__call__", counted)
+    monkeypatch.setattr(_rows._SciCells, "__call__", counted)
     return rows
 
 
@@ -872,27 +872,28 @@ def test_package_cli_and_every_public_callable_run_without_scipy(tmp_path):
 # ----------------------------------------------------------------------
 
 # Runs fblsec.cli.main on argv and prints its exit code and the fblsec
-# modules then loaded.
+# modules then loaded, and numpy if it was loaded.
 _LOADS = r"""
 import contextlib, io, json, sys
 import fblsec.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = fblsec.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fblsec"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fblsec") or m == "numpy")]))
 """
 
 _METRICS = {"fb_coding", "numerics", "secrecy"}
-# The submodules each command loads besides fblsec and fblsec.cli: none
-# loads ber, the metric commands load no simulator, and each simulator
-# command loads its own simulator only.
+# The submodules each command loads besides fblsec, fblsec.cli and numpy:
+# none loads ber, the metric commands load no simulator, each simulator
+# command loads its own simulator only, and only the commands that write
+# per-trial rows load their kernel, _rows.
 COMMAND_MODULES = {
     "fig2": {"fb_coding", "numerics"},
     "fig3": _METRICS,
     "gap": _METRICS,
     "interval": _METRICS,
     "minblock": _METRICS,
-    "cipc": _METRICS | {"channels", "cipc"},
-    "lob": _METRICS | {"channels", "lob"},
+    "cipc": _METRICS | {"channels", "cipc", "_rows"},
+    "lob": _METRICS | {"channels", "lob", "_rows"},
     "optimize-q": _METRICS | {"channels", "cipc"},
     "optimize-an": _METRICS | {"channels", "lob"},
 }
@@ -916,6 +917,17 @@ class TestImportPath:
     def test_version_loads_only_the_cli(self, tmp_path):
         assert _loads(tmp_path, "--version") == (0, {"fblsec", "fblsec.cli"})
 
+    @pytest.mark.parametrize("argv, code", [
+        (["-h"], 0),
+        (["cipc", "-h"], 0),
+        ([], 2),
+        (["bogus"], 2),
+        (["cipc", "--trials", "0"], 2),
+        (["lob", "--config", "missing.conf"], 2),
+    ], ids=["help", "command-help", "no-command", "unknown-command", "bad-value", "missing-config"])
+    def test_help_and_refused_arguments_load_only_the_cli(self, argv, code, tmp_path):
+        assert _loads(tmp_path, *argv) == (code, {"fblsec", "fblsec.cli"})
+
     def test_table_covers_every_command(self):
         assert set(COMMAND_MODULES) == set(SMALL_ARGV)
 
@@ -923,7 +935,8 @@ class TestImportPath:
     def test_command_loads_only_its_modules(self, command, tmp_path):
         code, modules = _loads(tmp_path, command, *SMALL_ARGV[command], "--out", "x.csv")
         assert code == 0
-        assert modules == {"fblsec", "fblsec.cli"} | {f"fblsec.{m}" for m in COMMAND_MODULES[command]}
+        expected = {"fblsec", "fblsec.cli", "numpy"} | {f"fblsec.{m}" for m in COMMAND_MODULES[command]}
+        assert modules == expected
 
     def test_public_names_resolve_on_first_use(self, tmp_path):
         proc = fresh_python(tmp_path, r"""

@@ -233,7 +233,7 @@ def _binomial_cases() -> list[tuple[int, int, float]]:
 
 
 class TestBinomialCdfMatchesScipy:
-    """binomial_cdf's log-sum-exp against scipy.stats.binom.cdf."""
+    """binomial_cdf, summed by numerics._binomial_sum, against scipy.stats.binom.cdf."""
 
     def test_within_2e_11_relative(self):
         cases = _binomial_cases()

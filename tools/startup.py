@@ -4,9 +4,11 @@ usage: python tools/startup.py OLD_SRC NEW_SRC [N]
 
 Each row runs in a fresh interpreter, N times per tree (default 10), the
 trees alternating which goes first, as tools/cli_diff.py runs its cases.
-The first row times ``import fblsec.cli`` plus ``main(["--version"])``;
-the others time the same import plus one small run of a command, in an
-empty directory. Timings are taken inside the interpreter with
+The first two rows time ``import fblsec.cli`` plus ``main(["--version"])``
+or ``main(["-h"])``; the others time the same import plus one small run of
+a command, in an empty directory. The data commands and the simulators
+write ``--out o.csv``, so the simulator rows also load and run the CSV
+kernel. Timings are taken inside the interpreter with
 ``perf_counter``, so interpreter start-up is left out. Each row prints the
 median of both trees in ms, the change, both trees' quartiles and in how
 many of the N alternations NEW_SRC was faster.
@@ -34,13 +36,14 @@ sys.exit(code)
 """
 ROWS = {
     "--version": ["--version"],
+    "-h": ["-h"],
     "fig2": ["fig2", "--n-list", "300", "--steps", "10", "--out", "o.csv"],
     "fig3": ["fig3", "--n-count", "5", "--out", "o.csv"],
     "gap": ["gap", "--n", "500", "--rate", "1.0"],
     "interval": ["interval", "--n", "500"],
     "minblock": ["minblock"],
-    "cipc": ["cipc", "--trials", "20", "--sigma-delta", "0.1"],
-    "lob": ["lob", "--trials", "20", "--loc-error-deg", "2"],
+    "cipc": ["cipc", "--trials", "20", "--sigma-delta", "0.1", "--out", "o.csv"],
+    "lob": ["lob", "--trials", "20", "--loc-error-deg", "2", "--out", "o.csv"],
     "optimize-q": ["optimize-q", "--q-grid", "0.5", "1.0", "--trials", "20"],
     "optimize-an": ["optimize-an", "--phi-grid", "0.0", "0.3", "--trials", "20"],
 }
