@@ -12,7 +12,7 @@ imports no submodule and no numpy, and ``fblsec.rate_interval`` imports
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 #: The public names of each submodule.
 _EXPORTS = {

@@ -389,6 +389,9 @@ def _fig2(args) -> _Report:
 
     if args.steps < 2:
         raise ValueError("--steps must be >= 2 for a rate grid")
+    for flag, rate in (("--rate-min", args.rate_min), ("--rate-max", args.rate_max)):
+        if rate is not None and not math.isfinite(rate):
+            raise ValueError(f"{flag} must be finite, got {rate!r}")
     gamma = db_to_linear(args.snr_db)
     cap = capacity(gamma)
     rate_min = 0.1 * cap if args.rate_min is None else args.rate_min

@@ -44,8 +44,11 @@ DEFAULT_APPROXIMATION = ApproximationConfig()
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a dB power ratio to linear scale."""
-    return 10.0 ** (float(db) / 10.0)
+    """Convert a dB power ratio to linear scale; past the largest double, raise ValueError."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{float(db)!r} dB overflows a linear power ratio") from None
 
 
 def linear_to_db(linear: float) -> float:
@@ -156,10 +159,12 @@ def _error_probability(n: int, rate: float, gamma: float, log_term: float) -> fl
     """error_probability of checked n, rate and gamma, given delta.
 
     C and V come from the unchecked _cv, so a root-find over gamma checks
-    nothing per step.
+    nothing per step. A rate so far above capacity that Q's argument
+    overflows to -inf has error probability 1.
     """
     cap, disp = _cv(gamma)
-    return q_func(math.sqrt(n / disp) * (cap - rate + log_term))
+    x = math.sqrt(n / disp) * (cap - rate + log_term)
+    return 1.0 if x == -math.inf else q_func(x)
 
 
 def max_rate(

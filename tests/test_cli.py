@@ -308,6 +308,35 @@ class TestErrorPaths:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"error: invalid arguments: {message} it exceeds the largest double\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["interval", "--n", "10", "--snr-b-db", "3090"],
+        ["fig2", "--out", "f.csv", "--snr-db", "3090"],
+        ["fig3", "--out", "f.csv", "--snr-e-db", "3090"],
+        ["minblock", "--snr-b-db", "3090"],
+    ], ids=["interval", "fig2", "fig3", "minblock"])
+    def test_db_overflow_names_the_db_value(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: invalid arguments: 3090.0 dB overflows a linear power ratio\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rate_far_above_capacity_is_unsatisfiable(self, capsys):
+        # At 1e307 Q's argument reads -inf, an error probability of 1, as at --rate 100.
+        assert main(["gap", "--n", "10", "--rate", "1e307"]) == 3
+        err = capsys.readouterr().err
+        assert main(["gap", "--n", "10", "--rate", "100"]) == 3
+        assert err == capsys.readouterr().err
+        assert "stays above 1e-06 even at the 60.0 dB end" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, value", [("--rate-max", "inf"), ("--rate-min", "-inf"),
+                                             ("--rate-min", "nan")])
+    def test_fig2_non_finite_rate_names_the_flag(self, flag, value, tmp_path, capsys):
+        assert main(["fig2", "--out", str(tmp_path / "f.csv"), f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: invalid arguments: {flag} must be finite, got {float(value)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_failure(self, tmp_path):
         missing_dir = tmp_path / "not" / "there" / "f.csv"
         assert main(["fig2", "--out", str(missing_dir)]) == 4
@@ -872,17 +901,18 @@ def test_package_cli_and_every_public_callable_run_without_scipy(tmp_path):
 # ----------------------------------------------------------------------
 
 # Runs fblsec.cli.main on argv and prints its exit code and the fblsec
-# modules then loaded, and numpy if it was loaded.
+# modules then loaded, and numpy and statistics (which numerics imports for
+# the normal quantile) if they were loaded.
 _LOADS = r"""
 import contextlib, io, json, sys
 import fblsec.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = fblsec.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fblsec") or m == "numpy")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("fblsec") or m in ("numpy", "statistics"))]))
 """
 
 _METRICS = {"fb_coding", "numerics", "secrecy"}
-# The submodules each command loads besides fblsec, fblsec.cli and numpy:
+# The submodules each command loads besides fblsec, fblsec.cli, numpy and statistics:
 # none loads ber, the metric commands load no simulator, each simulator
 # command loads its own simulator only, and only the commands that write
 # per-trial rows load their kernel, _rows.
@@ -935,7 +965,8 @@ class TestImportPath:
     def test_command_loads_only_its_modules(self, command, tmp_path):
         code, modules = _loads(tmp_path, command, *SMALL_ARGV[command], "--out", "x.csv")
         assert code == 0
-        expected = {"fblsec", "fblsec.cli", "numpy"} | {f"fblsec.{m}" for m in COMMAND_MODULES[command]}
+        expected = {"fblsec", "fblsec.cli", "numpy", "statistics"} | {
+            f"fblsec.{m}" for m in COMMAND_MODULES[command]}
         assert modules == expected
 
     def test_public_names_resolve_on_first_use(self, tmp_path):

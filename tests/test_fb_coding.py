@@ -36,6 +36,11 @@ class TestDbConversion:
         with pytest.raises(ValueError):
             linear_to_db(-2.0)
 
+    def test_overflow_names_the_db_value(self):
+        assert db_to_linear(3000.0) == pytest.approx(1e300, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^3090\.0 dB overflows a linear power ratio$"):
+            db_to_linear(3090.0)
+
 
 class TestCapacity:
     def test_anchors(self):
@@ -150,6 +155,13 @@ class TestErrorProbability:
             error_probability(100, 0.5, 0.0)
         with pytest.raises(ValueError):
             error_probability(100.5, 0.5, 1.0)
+
+    def test_rate_far_above_capacity_has_error_probability_one(self):
+        # Q's argument overflows to -inf.
+        assert error_probability(10, 1e307, 10.0) == 1.0
+        # inf * 0, at the capacity of a subnormal SNR, is still refused.
+        with pytest.raises(ValueError, match="finite argument, got nan"):
+            error_probability(10, capacity(5e-324), 5e-324)
 
 
 class TestMaxRate:

@@ -18,7 +18,6 @@ from fblsec.numerics import (
     _log_binomial_coef,
     _log_factorials,
     _mean,
-    _ndtri,
     binomial_cdf,
     brent_root,
     q_func,
@@ -92,13 +91,14 @@ class TestQFuncInv:
         assert q_func_inv(p) == pytest.approx(-q_func_inv(1.0 - p), rel=1e-12)
 
     def test_matches_stdlib_normal_quantile(self):
-        # statistics.NormalDist.inv_cdf is Wichura's AS 241, independent of scipy.
+        # Exactly the negated statistics.NormalDist quantile, Wichura's AS241.
         # Each grid point p is checked at its complement 1 - p too.
         inv_cdf = NormalDist().inv_cdf
-        for p in np.logspace(-300.0, math.log10(0.5), 1200).tolist() + [0.5]:
+        grid = np.logspace(-300.0, math.log10(0.5), 1200).tolist()
+        for p in grid + [5e-324, 1e-20, 1e-6, 0.075, 0.1, 0.5, math.nextafter(1.0, 0.0)]:
             for x in (p, 1.0 - p):
                 if x < 1.0:
-                    assert q_func_inv(x) == pytest.approx(-inv_cdf(x), rel=1e-13, abs=0.0)
+                    assert q_func_inv(x) == 0.0 - inv_cdf(x)
 
     @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
     @settings(max_examples=200)
@@ -120,12 +120,13 @@ class TestQFuncInv:
             q_func_inv(bad)
 
 
-def _ndtri_points() -> np.ndarray:
-    """Probe points for _ndtri, fixed before its first run: 20000 each of
-    uniform (0, 1), 10^-u with u uniform in [0, 323] (down to the
-    subnormals) and 1 - 10^-u with u uniform in [0, 16], from
-    default_rng(1906), plus the branch edges and the 64 floats on either
-    side of exp(-32), where the two tail fits meet."""
+def _quantile_points() -> np.ndarray:
+    """Probe points for the normal quantile, fixed before its first run:
+    20000 each of uniform (0, 1), 10^-u with u uniform in [0, 323] (down to
+    the subnormals) and 1 - 10^-u with u uniform in [0, 16], from
+    default_rng(1906), plus the edges of the branches of Cephes ndtri, the
+    algorithm of scipy.special.ndtri: exp(-2) and 1 - exp(-2) with their
+    neighbours, and the 64 floats on either side of exp(-32)."""
     rng = np.random.default_rng(1906)
     drawn = [
         rng.uniform(0.0, 1.0, 20000),
@@ -144,23 +145,41 @@ def _ndtri_points() -> np.ndarray:
     return points[(points > 0.0) & (points < 1.0)]
 
 
-class TestNdtri:
-    def test_bit_identical_to_scipy(self):
-        points = _ndtri_points()
+#: Largest distance, in units in the last place of scipy's value, allowed
+#: between Phi^-1 = -q_func_inv and scipy.special.ndtri (7 measured).
+_MAX_ULP = 8
+
+
+def _ulp_distance(got, want):
+    return np.abs(np.subtract(got, want)) / np.spacing(np.abs(want))
+
+
+class TestQuantileAccuracy:
+    """Phi^-1(p) = -q_func_inv(p) against scipy.special.ndtri, an independent
+    algorithm (Cephes), within _MAX_ULP."""
+
+    def test_within_ulp_bound_of_scipy(self):
+        points = np.sort(_quantile_points())
         central = (points > math.exp(-2.0)) & (points <= 1.0 - math.exp(-2.0))
         tail = np.minimum(points, 1.0 - points)
-        # Every branch is probed: central, sqrt(-2 log y) < 8, and beyond.
+        # Every branch of scipy's Cephes is probed: central, sqrt(-2 log y) < 8, and beyond.
         assert central.sum() > 1000
         assert ((~central) & (tail > math.exp(-32.0))).sum() > 1000
         assert (tail < math.exp(-32.0)).sum() > 1000
-        got = np.array([_ndtri(p) for p in points.tolist()])
-        want = ndtri(points)
-        mismatched = points[got.view(np.uint64) != want.view(np.uint64)]
-        assert mismatched.tolist() == []
+        got = np.array([-q_func_inv(p) for p in points.tolist()])
+        assert _ulp_distance(got, ndtri(points)).max() <= _MAX_ULP
+        # Nondecreasing on these points. Between adjacent floats neither
+        # AS241 nor Cephes is monotone, so nothing stricter is asserted.
+        assert (np.diff(got) >= 0.0).all()
 
-    def test_q_func_inv_is_negated_port(self):
-        for p in (5e-324, 1e-300, 1e-20, 1e-6, 0.1, 0.5, 0.9, math.nextafter(1.0, 0.0)):
-            assert q_func_inv(p) == 0.0 - float(ndtri(p))
+    # AS241's branch points: |p - 1/2| = 0.425, and r = sqrt(-log min(p, 1 - p)) = 5;
+    # then the smallest positive double and the largest double below 1.
+    @pytest.mark.parametrize("p", [0.075, 0.925, math.exp(-25.0), 5e-324, math.nextafter(1.0, 0.0)])
+    def test_edges(self, p):
+        for x in (p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)):
+            if 0.0 < x < 1.0:
+                assert _ulp_distance(-q_func_inv(x), ndtri(x)) <= _MAX_ULP
+                assert q_func(q_func_inv(x)) == pytest.approx(x, rel=1e-9)
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> np.ndarray:

@@ -64,6 +64,10 @@ CASES = [
     _one("interval", "--n", "500"),
     _one("interval", "--n", "300", "--snr-b-db", "3", "--snr-e-db", "3", "--out", "i.csv"),
     _one("interval", "--n", "500", "--beta-b", "0.6", "--beta-e", "0.7"),
+    # targets at which the normal quantile of 0.4.0 and that of 0.4.1 differ
+    _one("interval", "--n", "50", "--snr-b-db", "0", "--snr-e-db", "-4", "--beta-b", "1e-4",
+         "--beta-e", "0.05", "--out", "f.csv"),
+    _one("fig3", "--out", "f.csv", "--beta-b", "1e-5", "--beta-e", "0.3"),
     _one("minblock"),
     _one("minblock", "--out", "m.csv", "--log-term", "true"),
     _one("cipc", "--trials", "50", "--sigma-delta", "0.05", "--seed", "7"),
@@ -125,6 +129,11 @@ CASES = [
          "--loc-error-deg", "0", "--trials", "30", "--out", "a.csv"),
     # error paths
     _one("gap", "--n", "500", "--rate", "99"),
+    # a rate at which Q's argument reads -inf, a dB value past the largest
+    # double, and an infinite end of the fig2 rate grid
+    _one("gap", "--n", "10", "--rate", "1e307"),
+    _one("interval", "--n", "10", "--snr-b-db", "3090"),
+    _one("fig2", "--out", "f.csv", "--rate-max", "inf"),
     # both sides unsatisfiable: Bob's low bracket end is checked first
     _one("gap", "--n", "1", "--rate", "1e-9", "--beta-b", "0.6", "--beta-e", "1e-50"),
     _one("minblock", "--snr-b-db", "0", "--snr-e-db", "10", "--n-max", "1000", "--out", "m.csv"),
