@@ -18,16 +18,15 @@ __version__ = "0.4.1"
 _EXPORTS = {
     "ber": ("BerSecurityGap", "BerThresholds", "CodeSpec", "be_cdf", "ber_security_gap",
             "block_error_prob", "bsc_crossover", "post_decoding_ber"),
-    "channels": ("ReciprocityError", "RicianSpec", "apply_reciprocity_error", "sample_rayleigh",
-                 "sample_rician", "steering_vector"),
+    "channels": ("RicianSpec", "apply_reciprocity_error", "sample_rayleigh", "sample_rician",
+                 "steering_vector"),
     "cipc": ("CipcConfig", "CipcResult", "CipcSummary", "QOptimum", "optimize_q", "run_cipc"),
-    "fb_coding": ("ApproximationConfig", "capacity", "db_to_linear", "dispersion",
-                  "error_probability", "linear_to_db", "max_rate"),
+    "fb_coding": ("capacity", "db_to_linear", "dispersion", "error_probability", "linear_to_db",
+                  "max_rate"),
     "lob": ("AnOptimum", "LobConfig", "LobResult", "LobSummary", "optimize_an_fraction", "run_lob"),
     "numerics": ("RngSeed", "UnsatisfiableError", "binomial_cdf", "q_func", "q_func_inv"),
-    "secrecy": ("ConstraintPair", "RateIntervals", "SecrecyAssessment", "SecurityGap",
-                "min_blocklength", "r_inf", "r_sup", "rate_interval", "rate_interval_batch",
-                "security_gap"),
+    "secrecy": ("ConstraintPair", "RateIntervals", "SecurityGap", "min_blocklength", "r_inf",
+                "rate_interval", "rate_interval_batch", "security_gap"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -43,21 +43,11 @@ class RicianSpec:
         _check_antennas(self.n_antennas)
 
 
-@dataclass(frozen=True, slots=True)
-class ReciprocityError:
-    """Additive uplink/downlink calibration mismatch.
-
-    sigma_delta is the standard deviation of the complex perturbation per
-    coefficient; zero means the uplink channel equals the downlink one
-    exactly.
-    """
-
-    sigma_delta: float = 0.0
-
-    def __post_init__(self):
-        v = float(self.sigma_delta)
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"sigma_delta must be finite and >= 0, got {v!r}")
+def _check_sigma_delta(sigma_delta) -> float:
+    v = float(sigma_delta)
+    if not math.isfinite(v) or v < 0.0:
+        raise ValueError(f"sigma_delta must be finite and >= 0, got {v!r}")
+    return v
 
 
 def _check_antennas(n) -> int:
@@ -109,13 +99,16 @@ def sample_rician(spec: RicianSpec, seed: RngSeed, size: int | None = None) -> n
     return math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * scatter
 
 
-def apply_reciprocity_error(h_d: np.ndarray, err: ReciprocityError, seed: RngSeed) -> np.ndarray:
-    """Uplink channel h_d + delta with per-entry perturbation variance sigma^2.
+def apply_reciprocity_error(h_d: np.ndarray, sigma_delta: float, seed: RngSeed) -> np.ndarray:
+    """Uplink channel h_d + delta under an additive uplink/downlink
+    calibration mismatch: delta is complex normal with standard deviation
+    sigma_delta per coefficient.
 
     h_d may be one vector or a (trials, N) batch. sigma_delta = 0 returns
     an exact copy of h_d and draws nothing.
     """
     h_d = np.asarray(h_d)
-    if err.sigma_delta == 0.0:
+    sigma_delta = _check_sigma_delta(sigma_delta)
+    if sigma_delta == 0.0:
         return h_d.copy()
-    return h_d + err.sigma_delta * _complex_normal(seed.generator(), h_d.shape)
+    return h_d + sigma_delta * _complex_normal(seed.generator(), h_d.shape)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ReciprocityError, _check_antennas, apply_reciprocity_error, sample_rayleigh
-from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
+from .channels import _check_antennas, _check_sigma_delta, apply_reciprocity_error, sample_rayleigh
+from .fb_coding import _check_blocklength
 from .numerics import RngSeed, _as_count, _best, _mean
 from .secrecy import ConstraintPair, RateIntervals, _simulated_intervals
 
@@ -46,10 +46,11 @@ class CipcConfig:
     noise_power_eve: float
     blocklength: int
     constraints: ConstraintPair
-    reciprocity: ReciprocityError
+    #: Std of the additive uplink/downlink mismatch per channel coefficient.
+    sigma_delta: float
     trials: int
     seed: RngSeed
-    approx: ApproximationConfig = DEFAULT_APPROXIMATION
+    log_term: bool = False
 
     def __post_init__(self):
         for name in ("q_target", "noise_power_bob", "noise_power_eve"):
@@ -58,6 +59,7 @@ class CipcConfig:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if math.isnan(self.p_max) or self.p_max <= 0.0:
             raise ValueError(f"p_max must be positive, got {self.p_max!r}")
+        _check_sigma_delta(self.sigma_delta)
         _check_antennas(self.n_antennas_tx)
         _check_blocklength(self.blocklength)
         if _as_count(self.trials, "trials") < 1:
@@ -104,7 +106,7 @@ def _draw(cfg: CipcConfig):
     sent = ~(p_t > cfg.p_max)  # truncated inversion suspends the rest
     h_d, gain = h_d[sent], gain[sent]
     w = h_d.conj() / np.sqrt(gain)[:, np.newaxis]
-    h_u = apply_reciprocity_error(h_d, cfg.reciprocity, cfg.seed.stream(base + _ROLE_RECIPROCITY))
+    h_u = apply_reciprocity_error(h_d, cfg.sigma_delta, cfg.seed.stream(base + _ROLE_RECIPROCITY))
     del h_d
     bob_gain = np.abs(np.vecdot(h_u.conj(), w)) ** 2
     del h_u

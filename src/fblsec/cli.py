@@ -32,7 +32,6 @@ from . import __version__
 
 if TYPE_CHECKING:
     from .cipc import CipcConfig
-    from .fb_coding import ApproximationConfig
     from .lob import LobConfig
     from .secrecy import ConstraintPair
 
@@ -352,12 +351,6 @@ _LOB_FLAGS = (
 )
 
 
-def _approx(args) -> ApproximationConfig:
-    from .fb_coding import ApproximationConfig
-
-    return ApproximationConfig(include_log_term=args.log_term)
-
-
 def _constraints(args) -> ConstraintPair:
     from .secrecy import ConstraintPair
 
@@ -392,16 +385,17 @@ def _fig2(args) -> _Report:
     for flag, rate in (("--rate-min", args.rate_min), ("--rate-max", args.rate_max)):
         if rate is not None and not math.isfinite(rate):
             raise ValueError(f"{flag} must be finite, got {rate!r}")
+        if rate is not None and rate < 0.0:
+            raise ValueError(f"{flag} must be >= 0, got {rate!r}")
     gamma = db_to_linear(args.snr_db)
     cap = capacity(gamma)
     rate_min = 0.1 * cap if args.rate_min is None else args.rate_min
     rate_max = 1.2 * cap if args.rate_max is None else args.rate_max
     if not rate_min < rate_max:
         raise ValueError("rate range is empty: rate_min must be below rate_max")
-    cfg = _approx(args)
     rates = np.linspace(rate_min, rate_max, args.steps)
     points = [
-        (n, float(r), error_probability(n, float(r), gamma, cfg))
+        (n, float(r), error_probability(n, float(r), gamma, args.log_term))
         for n in args.n_list
         for r in rates
     ]
@@ -441,8 +435,7 @@ def _fig3(args) -> _Report:
     gamma_b = db_to_linear(args.snr_b_db)
     gamma_e = db_to_linear(args.snr_e_db)
     constraints = _constraints(args)
-    cfg = _approx(args)
-    assessments = [rate_interval(n, gamma_b, gamma_e, constraints, cfg) for n in n_grid]
+    assessments = [rate_interval(n, gamma_b, gamma_e, constraints, args.log_term) for n in n_grid]
     return _Report(
         header=["n", "r_b_eps", "r_e_eps", "delta_r", "feasible"],
         rows=_lines((str(n), *_assessment_cells(a)) for n, a in zip(n_grid, assessments)),
@@ -460,7 +453,7 @@ def _gap(args) -> _Report:
     from .fb_coding import linear_to_db
     from .secrecy import security_gap
 
-    result = security_gap(args.n, args.rate, _constraints(args), _approx(args))
+    result = security_gap(args.n, args.rate, _constraints(args), args.log_term)
     snr_b_min_db = linear_to_db(result.snr_b_min)
     snr_e_max_db = linear_to_db(result.snr_e_max)
     return _Report(
@@ -490,7 +483,7 @@ def _interval(args) -> _Report:
         db_to_linear(args.snr_b_db),
         db_to_linear(args.snr_e_db),
         _constraints(args),
-        _approx(args),
+        args.log_term,
     )
     return _Report(
         summary=[
@@ -520,7 +513,7 @@ def _minblock(args) -> _Report:
         db_to_linear(args.snr_b_db),
         db_to_linear(args.snr_e_db),
         _constraints(args),
-        _approx(args),
+        args.log_term,
         n_max=args.n_max,
     )
     if n_star is None:
@@ -532,7 +525,6 @@ def _minblock(args) -> _Report:
 
 
 def _cipc_config(args, q_target: float) -> CipcConfig:
-    from .channels import ReciprocityError
     from .cipc import CipcConfig
     from .numerics import RngSeed
 
@@ -544,10 +536,10 @@ def _cipc_config(args, q_target: float) -> CipcConfig:
         noise_power_eve=args.noise_e,
         blocklength=args.blocklength,
         constraints=_constraints(args),
-        reciprocity=ReciprocityError(args.sigma_delta),
+        sigma_delta=args.sigma_delta,
         trials=args.trials,
         seed=RngSeed(args.seed),
-        approx=_approx(args),
+        log_term=args.log_term,
     )
 
 
@@ -600,7 +592,7 @@ def _lob_config(args, an_fraction: float) -> LobConfig:
         constraints=_constraints(args),
         trials=args.trials,
         seed=RngSeed(args.seed),
-        approx=_approx(args),
+        log_term=args.log_term,
     )
 
 

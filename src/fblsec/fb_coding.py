@@ -18,7 +18,6 @@ dB conversion happens at the boundary via db_to_linear / linear_to_db.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,16 +30,6 @@ DISPERSION_LIMIT = LOG2_E**2
 #: Search bracket of every SNR root-find (security gaps, BER thresholds),
 #: in dB (1e-6 .. 1e6 linear).
 SNR_BRACKET_DB = (-60.0, 60.0)
-
-
-@dataclass(frozen=True, slots=True)
-class ApproximationConfig:
-    """Switches of the rate/error approximation, fixed for a whole run."""
-
-    include_log_term: bool = False
-
-
-DEFAULT_APPROXIMATION = ApproximationConfig()
 
 
 def db_to_linear(db: float) -> float:
@@ -89,8 +78,9 @@ def _check_rate(rate: float) -> float:
     return rate
 
 
-def _log_term(n: int, cfg: ApproximationConfig) -> float:
-    return math.log2(n) / (2.0 * n) if cfg.include_log_term else 0.0
+def _delta(n: int, log_term: bool) -> float:
+    """The (log2 n) / (2n) rate correction when log_term is on, else 0."""
+    return math.log2(n) / (2.0 * n) if log_term else 0.0
 
 
 def _cv(gamma: float) -> tuple[float, float]:
@@ -103,17 +93,17 @@ def _cv(gamma: float) -> tuple[float, float]:
     return log_one_plus * LOG2_E, -math.expm1(-2.0 * log_one_plus) * DISPERSION_LIMIT
 
 
-def _rate_bound(n: int, eps: float, gamma: float, cfg: ApproximationConfig) -> float:
+def _rate_bound(n: int, eps: float, gamma: float, log_term: bool) -> float:
     """Unclamped rate bound C - sqrt(V/n) * Qinv(eps) + delta; callers validate."""
-    return _rate_from(n, *_cv(gamma), q_func_inv(eps), _log_term(n, cfg))
+    return _rate_from(n, *_cv(gamma), q_func_inv(eps), _delta(n, log_term))
 
 
-def _rate_from(n: int, cap: float, disp: float, q_inv: float, log_term: float) -> float:
+def _rate_from(n: int, cap: float, disp: float, q_inv: float, delta: float) -> float:
     """_rate_bound from its parts C, V, Qinv(eps) and delta, computed beforehand."""
-    return cap - math.sqrt(disp / n) * q_inv + log_term
+    return cap - math.sqrt(disp / n) * q_inv + delta
 
 
-def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, cfg: ApproximationConfig) -> np.ndarray:
+def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, log_term: bool) -> np.ndarray:
     """_rate_bound over an SNR array, bit-identical to it value by value.
 
     C and V take _cv's libm calls one value at a time (numpy's vectorized
@@ -122,7 +112,7 @@ def _rate_bound_batch(n: int, eps: float, gamma: np.ndarray, cfg: ApproximationC
     """
     log_one_plus = np.fromiter(map(math.log1p, gamma.ravel().tolist()), float, gamma.size)
     disp = -np.fromiter(map(math.expm1, (-2.0 * log_one_plus).tolist()), float, gamma.size) * DISPERSION_LIMIT
-    rate = log_one_plus * LOG2_E - np.sqrt(disp / n) * q_func_inv(eps) + _log_term(n, cfg)
+    rate = log_one_plus * LOG2_E - np.sqrt(disp / n) * q_func_inv(eps) + _delta(n, log_term)
     return rate.reshape(gamma.shape)
 
 
@@ -139,12 +129,7 @@ def dispersion(gamma: float) -> float:
     return _cv(_check_snr(gamma))[1]
 
 
-def error_probability(
-    n: int,
-    rate: float,
-    gamma: float,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> float:
+def error_probability(n: int, rate: float, gamma: float, log_term: bool = False) -> float:
     """Block error probability of the best (n, rate) code at SNR gamma.
 
     Strictly increasing in rate and strictly decreasing in gamma; equals
@@ -152,27 +137,26 @@ def error_probability(
     """
     n = _check_blocklength(n)
     rate = _check_rate(rate)
-    return _error_probability(n, rate, _check_snr(gamma), _log_term(n, cfg))
+    return _error_probability(n, rate, _check_snr(gamma), _delta(n, log_term))
 
 
-def _error_probability(n: int, rate: float, gamma: float, log_term: float) -> float:
+def _error_probability(n: int, rate: float, gamma: float, delta: float) -> float:
     """error_probability of checked n, rate and gamma, given delta.
 
     C and V come from the unchecked _cv, so a root-find over gamma checks
-    nothing per step. A rate so far above capacity that Q's argument
-    overflows to -inf has error probability 1.
+    nothing per step. Q's argument overflows to an infinity at the extremes:
+    -inf (a rate far above capacity) means error probability 1, +inf (a
+    subnormal SNR, whose dispersion underflows towards 0, at a rate below
+    capacity) means 0.
     """
     cap, disp = _cv(gamma)
-    x = math.sqrt(n / disp) * (cap - rate + log_term)
-    return 1.0 if x == -math.inf else q_func(x)
+    x = math.sqrt(n / disp) * (cap - rate + delta)
+    if x == -math.inf:
+        return 1.0
+    return 0.0 if x == math.inf else q_func(x)
 
 
-def max_rate(
-    n: int,
-    epsilon_target: float,
-    gamma: float,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> float:
+def max_rate(n: int, epsilon_target: float, gamma: float, log_term: bool = False) -> float:
     """Largest rate whose error probability does not exceed the target.
 
     R* = C - sqrt(V/n) * Qinv(eps) + delta, clamped below at zero: a
@@ -187,7 +171,7 @@ def max_rate(
             f"target error probability must lie in (0, 1), got {epsilon_target!r}"
         )
     gamma = _check_snr(gamma)
-    rate = _rate_bound(n, epsilon_target, gamma, cfg)
+    rate = _rate_bound(n, epsilon_target, gamma, log_term)
     return 0.0 if rate < 0.0 else rate
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import RicianSpec, sample_rician, steering_vector
-from .fb_coding import ApproximationConfig, DEFAULT_APPROXIMATION, _check_blocklength
+from .fb_coding import _check_blocklength
 from .numerics import RngSeed, _as_count, _best, _mean
 from .secrecy import ConstraintPair, RateIntervals, _simulated_intervals
 
@@ -58,7 +58,7 @@ class LobConfig:
     constraints: ConstraintPair
     trials: int
     seed: RngSeed
-    approx: ApproximationConfig = DEFAULT_APPROXIMATION
+    log_term: bool = False
 
     def __post_init__(self):
         if _as_count(self.n_antennas, "n_antennas") < 2:
@@ -69,6 +69,10 @@ class LobConfig:
         v = float(self.location_error_std)
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"location_error_std must be finite and >= 0, got {v!r}")
+        for name in ("k_factor_bob", "k_factor_eve"):
+            v = float(getattr(self, name))
+            if not v >= 0.0:  # refuses nan; inf is pure LOS
+                raise ValueError(f"{name} must be >= 0, got {v!r}")
         for name in ("total_power", "noise_power_bob", "noise_power_eve"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v <= 0.0:

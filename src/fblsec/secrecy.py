@@ -22,13 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fb_coding
-from .fb_coding import (
-    ApproximationConfig,
-    DEFAULT_APPROXIMATION,
-    SNR_BRACKET_DB,
-    db_to_linear,
-    linear_to_db,
-)
+from .fb_coding import SNR_BRACKET_DB, db_to_linear, linear_to_db
 from .numerics import UnsatisfiableError, q_func_inv
 
 
@@ -59,28 +53,19 @@ class ConstraintPair:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class SecrecyAssessment:
-    """Rate interval of one (n, gamma_b, gamma_e, constraints) scenario.
+class RateIntervals(NamedTuple):
+    """Rate interval of (n, gamma_b, gamma_e, constraints) scenarios: floats
+    for one scenario, columns for many.
 
-    delta_r = r_sup - r_inf; the scenario is feasible iff delta_r >= 0.
-    A scenario whose raw rate ceiling was negative (no usable rate at all)
+    delta_r = r_sup - r_inf; a scenario is feasible iff delta_r >= 0. A
+    scenario whose raw rate ceiling was negative (no usable rate at all)
     is reported with r_sup = 0.0, as max_rate clamps it.
     """
 
-    r_sup: float
-    r_inf: float
-    delta_r: float
-    feasible: bool
-
-
-class RateIntervals(NamedTuple):
-    """SecrecyAssessment fields as columns, one entry per scenario."""
-
-    r_sup: np.ndarray
-    r_inf: np.ndarray
-    delta_r: np.ndarray
-    feasible: np.ndarray
+    r_sup: float | np.ndarray
+    r_inf: float | np.ndarray
+    delta_r: float | np.ndarray
+    feasible: bool | np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,22 +78,7 @@ class SecurityGap:
     gap_db: float
 
 
-def r_sup(
-    n: int,
-    beta_b: float,
-    gamma_b: float,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> float:
-    """Rate ceiling from the reliability constraint; increasing in n and gamma_b."""
-    return fb_coding.max_rate(n, beta_b, gamma_b, cfg)
-
-
-def r_inf(
-    n: int,
-    beta_e: float,
-    gamma_e: float,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> float:
+def r_inf(n: int, beta_e: float, gamma_e: float, log_term: bool = False) -> float:
     """Rate floor from the security constraint.
 
     C_e - sqrt(V_e/n) * Qinv(beta_e) + delta. At beta_e = 0.5 with the log
@@ -124,7 +94,7 @@ def r_inf(
     _warn_if_beyond_guessing(beta_e, stacklevel=3)
     if beta_e == 1.0:
         return math.inf
-    return fb_coding._rate_bound(n, beta_e, gamma_e, cfg)
+    return fb_coding._rate_bound(n, beta_e, gamma_e, log_term)
 
 
 def _warn_if_beyond_guessing(beta_e: float, stacklevel: int) -> None:
@@ -138,36 +108,21 @@ def _warn_if_beyond_guessing(beta_e: float, stacklevel: int) -> None:
         )
 
 
-def rate_interval(
-    n: int,
-    gamma_b: float,
-    gamma_e: float,
-    constraints: ConstraintPair,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> SecrecyAssessment:
+def rate_interval(n: int, gamma_b: float, gamma_e: float, constraints: ConstraintPair,
+                  log_term: bool = False) -> RateIntervals:
     """Assemble the rate interval and its feasibility for one scenario.
 
     As n grows the interval converges to the capacity difference
     C_b - C_e at rate O(1/sqrt(n)).
     """
-    ceiling = fb_coding.max_rate(n, constraints.beta_b, gamma_b, cfg)
-    floor = r_inf(n, constraints.beta_e, gamma_e, cfg)
-    delta = ceiling - floor
-    return SecrecyAssessment(
-        r_sup=ceiling,
-        r_inf=floor,
-        delta_r=delta,
-        feasible=delta >= 0.0,
-    )
+    ceiling = fb_coding.max_rate(n, constraints.beta_b, gamma_b, log_term)
+    floor = r_inf(n, constraints.beta_e, gamma_e, log_term)
+    delta_r = ceiling - floor
+    return RateIntervals(ceiling, floor, delta_r, delta_r >= 0.0)
 
 
-def rate_interval_batch(
-    n: int,
-    gamma_b,
-    gamma_e,
-    constraints: ConstraintPair,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> RateIntervals:
+def rate_interval_batch(n: int, gamma_b, gamma_e, constraints: ConstraintPair,
+                        log_term: bool = False) -> RateIntervals:
     """rate_interval over equal-shape arrays of Bob and Eve SNRs, as arrays
     of that shape (columns, for 1-D input).
 
@@ -186,7 +141,7 @@ def rate_interval_batch(
     if gamma_b.shape != gamma_e.shape:
         raise ValueError(f"SNR arrays differ in shape: {gamma_b.shape} vs {gamma_e.shape}")
     bob_on = fb_coding._check_snrs(gamma_b) > 0.0
-    raw = fb_coding._rate_bound_batch(n, constraints.beta_b, gamma_b, cfg)
+    raw = fb_coding._rate_bound_batch(n, constraints.beta_b, gamma_b, log_term)
     r_sup = np.where(~bob_on | (raw < 0.0), 0.0, raw)
     eve_on = fb_coding._check_snrs(gamma_e) > 0.0
     if eve_on.any():
@@ -194,7 +149,7 @@ def rate_interval_batch(
     if constraints.beta_e == 1.0:
         floor = np.full(gamma_e.shape, math.inf)
     else:
-        floor = fb_coding._rate_bound_batch(n, constraints.beta_e, gamma_e, cfg)
+        floor = fb_coding._rate_bound_batch(n, constraints.beta_e, gamma_e, log_term)
     floor = np.where(eve_on, floor, 0.0)
     delta = np.where(bob_on, r_sup - floor, -floor)
     return RateIntervals(r_sup, floor, delta, bob_on & (delta >= 0.0))
@@ -209,7 +164,7 @@ def _simulated_intervals(cfg, gamma_b, gamma_e, powers: dict, source: str,
     of such a run are scanned even when every SNR is accepted, since an
     interference power of inf reads as an SNR of 0."""
     try:
-        intervals = rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.approx)
+        intervals = rate_interval_batch(cfg.blocklength, gamma_b, gamma_e, cfg.constraints, cfg.log_term)
         if not overflowed:
             return intervals
         refused = None
@@ -228,12 +183,8 @@ def _simulated_intervals(cfg, gamma_b, gamma_e, powers: dict, source: str,
     raise refused
 
 
-def security_gap(
-    n: int,
-    rate: float,
-    constraints: ConstraintPair,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-) -> SecurityGap:
+def security_gap(n: int, rate: float, constraints: ConstraintPair,
+                 log_term: bool = False) -> SecurityGap:
     """SNR_b,min / SNR_e,max at a fixed rate and blocklength.
 
     snr_b_min is the smallest SNR meeting the reliability constraint
@@ -248,11 +199,11 @@ def security_gap(
         raise ValueError(f"security_gap requires rate > 0, got {rate!r}")
     n = fb_coding._check_blocklength(n)
     rate = fb_coding._check_rate(rate)
-    log_term = fb_coding._log_term(n, cfg)
+    delta = fb_coding._delta(n, log_term)
 
     def curve(snr_db: float) -> float:
         # Strictly decreasing in SNR, so a root in the bracket is unique.
-        return fb_coding._error_probability(n, rate, db_to_linear(snr_db), log_term)
+        return fb_coding._error_probability(n, rate, db_to_linear(snr_db), delta)
 
     lo_db, hi_db = SNR_BRACKET_DB
     ends = (curve(lo_db), curve(hi_db))
@@ -280,13 +231,8 @@ def security_gap(
     )
 
 
-def min_blocklength(
-    gamma_b: float,
-    gamma_e: float,
-    constraints: ConstraintPair,
-    cfg: ApproximationConfig = DEFAULT_APPROXIMATION,
-    n_max: int = 10**7,
-) -> int | None:
+def min_blocklength(gamma_b: float, gamma_e: float, constraints: ConstraintPair,
+                    log_term: bool = False, n_max: int = 10**7) -> int | None:
     """Smallest blocklength n <= n_max whose rate interval is feasible.
 
     Returns None when no such n exists. delta_r(n) is monotone in n (it
@@ -297,7 +243,7 @@ def min_blocklength(
     n_max = fb_coding._check_blocklength(n_max)
     # The n = 1 probe is rate_interval itself: it checks the SNRs and the
     # constraints with their usual messages, and warns once for beta_e > 0.5.
-    if rate_interval(1, gamma_b, gamma_e, constraints, cfg).feasible:
+    if rate_interval(1, gamma_b, gamma_e, constraints, log_term).feasible:
         return 1
     if n_max == 1 or constraints.beta_e == 1.0:
         return None  # at beta_e = 1 the rate floor is +inf for every n
@@ -306,13 +252,13 @@ def min_blocklength(
     q_b, q_e = q_func_inv(constraints.beta_b), q_func_inv(constraints.beta_e)
 
     def feasible(n: int) -> bool:
-        # rate_interval(n, gamma_b, gamma_e, constraints, cfg).feasible, by the
-        # same arithmetic on the parts that do not depend on n.
-        log_term = fb_coding._log_term(n, cfg)
-        r_sup = fb_coding._rate_from(n, cap_b, disp_b, q_b, log_term)
+        # rate_interval(n, gamma_b, gamma_e, constraints, log_term).feasible,
+        # by the same arithmetic on the parts that do not depend on n.
+        delta = fb_coding._delta(n, log_term)
+        r_sup = fb_coding._rate_from(n, cap_b, disp_b, q_b, delta)
         if r_sup < 0.0:
             r_sup = 0.0
-        return r_sup - fb_coding._rate_from(n, cap_e, disp_e, q_e, log_term) >= 0.0
+        return r_sup - fb_coding._rate_from(n, cap_e, disp_e, q_e, delta) >= 0.0
 
     lo = 1  # known infeasible
     hi = 2

@@ -33,7 +33,7 @@ from fblsec.channels import steering_vector
 from fblsec.cipc import CipcConfig
 from fblsec.fb_coding import SNR_BRACKET_DB, db_to_linear, linear_to_db
 from fblsec.numerics import UnsatisfiableError, q_func
-from fblsec.secrecy import SecrecyAssessment, SecurityGap, r_inf, r_sup, rate_interval
+from fblsec.secrecy import RateIntervals, SecurityGap, r_inf, rate_interval
 
 
 def q_oracle(x: float) -> float:
@@ -128,16 +128,16 @@ def cipc_closed_form(cfg) -> tuple[float, float, float]:
     Q X / (sigma_e^2 G) with X = |g^H w|^2 ~ Exp(1) independent of the
     gain G = ||h_d||^2 ~ Gamma(N, 1), and a trial is sent iff G >= g0 =
     Q / p_max. It is feasible iff gamma_e <= gamma*, the root of
-    r_inf(gamma*) = r_sup(Q / sigma_b^2), i.e. iff X <= s G with
+    r_inf(gamma*) = max_rate(Q / sigma_b^2), i.e. iff X <= s G with
     s = gamma* sigma_e^2 / Q. Integrating 1 - exp(-s G) and 1 / G against
     the Gamma density over G >= g0 gives the two conditional values.
     """
-    assert cfg.reciprocity.sigma_delta == 0.0 and cfg.n_antennas_tx >= 2
+    assert cfg.sigma_delta == 0.0 and cfg.n_antennas_tx >= 2
     n_ant, q = cfg.n_antennas_tx, cfg.q_target
-    n, cp, approx = cfg.blocklength, cfg.constraints, cfg.approx
-    ceiling = r_sup(n, cp.beta_b, q / cfg.noise_power_bob, approx)
+    n, cp, log_term = cfg.blocklength, cfg.constraints, cfg.log_term
+    ceiling = fb_coding.max_rate(n, cp.beta_b, q / cfg.noise_power_bob, log_term)
     gamma_star = db_to_linear(
-        brentq(lambda db: r_inf(n, cp.beta_e, db_to_linear(db), approx) - ceiling,
+        brentq(lambda db: r_inf(n, cp.beta_e, db_to_linear(db), log_term) - ceiling,
                *SNR_BRACKET_DB, xtol=1e-12)
     )
     s = gamma_star * cfg.noise_power_eve / q
@@ -148,7 +148,7 @@ def cipc_closed_form(cfg) -> tuple[float, float, float]:
     return 1.0 - sent, feasible, mean_gamma_e
 
 
-def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAssessment:
+def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, log_term) -> RateIntervals:
     """LOB's assessment of one trial, zero SINRs included, from scalar calls.
 
     A receiver with no signal power decodes nothing: at Eve every rate is
@@ -156,17 +156,17 @@ def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAsses
     ceiling.
     """
     if sinr_bob > 0.0 and sinr_eve > 0.0:
-        return rate_interval(n, sinr_bob, sinr_eve, constraints, approx)
+        return rate_interval(n, sinr_bob, sinr_eve, constraints, log_term)
     if sinr_bob > 0.0:
-        ceiling = fb_coding.max_rate(n, constraints.beta_b, sinr_bob, approx)
-        return SecrecyAssessment(
+        ceiling = fb_coding.max_rate(n, constraints.beta_b, sinr_bob, log_term)
+        return RateIntervals(
             r_sup=ceiling,
             r_inf=0.0,
             delta_r=ceiling,
             feasible=True,
         )
-    floor = r_inf(n, constraints.beta_e, sinr_eve, approx) if sinr_eve > 0.0 else 0.0
-    return SecrecyAssessment(
+    floor = r_inf(n, constraints.beta_e, sinr_eve, log_term) if sinr_eve > 0.0 else 0.0
+    return RateIntervals(
         r_sup=0.0,
         r_inf=floor,
         delta_r=-floor,
@@ -174,17 +174,17 @@ def assess_sinr_pair(n, sinr_bob, sinr_eve, constraints, approx) -> SecrecyAsses
     )
 
 
-def error_probability_steps(n, rate, gamma, cfg) -> float:
+def error_probability_steps(n, rate, gamma, log_term) -> float:
     """error_probability with every check, from capacity and dispersion."""
     n = fb_coding._check_blocklength(n)
     rate = fb_coding._check_rate(rate)
     gamma = fb_coding._check_snr(gamma)
     v = fb_coding.dispersion(gamma)
-    arg = math.sqrt(n / v) * (fb_coding.capacity(gamma) - rate + fb_coding._log_term(n, cfg))
+    arg = math.sqrt(n / v) * (fb_coding.capacity(gamma) - rate + fb_coding._delta(n, log_term))
     return q_func(arg)
 
 
-def security_gap_search(n, rate, constraints, cfg) -> SecurityGap:
+def security_gap_search(n, rate, constraints, log_term) -> SecurityGap:
     """security_gap by brentq over a residual that checks its inputs every step."""
     rate = float(rate)
     if not rate > 0.0:
@@ -193,7 +193,7 @@ def security_gap_search(n, rate, constraints, cfg) -> SecurityGap:
 
     def solve(target, side):
         def residual(snr_db):
-            return error_probability_steps(n, rate, db_to_linear(snr_db), cfg) - target
+            return error_probability_steps(n, rate, db_to_linear(snr_db), log_term) - target
 
         res_lo, res_hi = residual(lo_db), residual(hi_db)
         if res_lo < 0.0:
@@ -281,12 +281,12 @@ def ber_security_gap_search(code, thresholds) -> BerSecurityGap:
     return BerSecurityGap(snr_b_min, snr_e_max, gap, linear_to_db(gap), bob_edge, eve_edge)
 
 
-def min_blocklength_search(gamma_b, gamma_e, constraints, cfg, n_max):
+def min_blocklength_search(gamma_b, gamma_e, constraints, log_term, n_max):
     """min_blocklength with one full rate_interval call per probed n."""
     n_max = fb_coding._check_blocklength(n_max)
 
     def feasible(n):
-        return rate_interval(n, gamma_b, gamma_e, constraints, cfg).feasible
+        return rate_interval(n, gamma_b, gamma_e, constraints, log_term).feasible
 
     if feasible(1):
         return 1

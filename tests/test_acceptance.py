@@ -17,7 +17,6 @@ from fblsec import (
     CodeSpec,
     ConstraintPair,
     LobConfig,
-    ReciprocityError,
     RngSeed,
     binomial_cdf,
     block_error_prob,
@@ -177,7 +176,7 @@ def _cipc_config(**overrides) -> CipcConfig:
         noise_power_eve=0.1,
         blocklength=500,
         constraints=CP,
-        reciprocity=ReciprocityError(0.0),
+        sigma_delta=0.0,
         trials=10**5,
         seed=RngSeed(60466176, 0),
     )
@@ -201,7 +200,7 @@ def test_criterion_6_channel_inversion():
     with criterion("6c: received-power variance monotone in reciprocity error"):
         variances = []
         for sigma in (0.0, 0.05, 0.1, 0.2):
-            cfg = _cipc_config(n_antennas_tx=2, reciprocity=ReciprocityError(sigma))
+            cfg = _cipc_config(n_antennas_tx=2, sigma_delta=sigma)
             result = run_cipc(cfg)
             assert result.sent.all()
             variances.append(float(np.var(result.rx_power_bob)))

@@ -20,6 +20,10 @@ REMOVED = [
     ("cipc", "cipc_beamformer"),
     ("lob", "lob_beamformer"),
     ("fb_coding", "RateBound"),
+    ("fb_coding", "ApproximationConfig"),
+    ("channels", "ReciprocityError"),
+    ("secrecy", "SecrecyAssessment"),
+    ("secrecy", "r_sup"),
 ]
 
 
@@ -53,7 +57,7 @@ def test_simulator_summary_fields_are_floats():
     cp, seed = fblsec.ConstraintPair(1e-6, 0.5), fblsec.RngSeed(7, 0)
     cipc = fblsec.run_cipc(fblsec.CipcConfig(
         q_target=1.0, p_max=10.0, n_antennas_tx=2, noise_power_bob=0.01, noise_power_eve=0.1,
-        blocklength=500, constraints=cp, reciprocity=fblsec.ReciprocityError(0.05), trials=50,
+        blocklength=500, constraints=cp, sigma_delta=0.05, trials=50,
         seed=seed))
     lob = fblsec.run_lob(fblsec.LobConfig(
         n_antennas=4, theta_bob=0.0, theta_eve=0.3, location_error_std=0.02, k_factor_bob=10.0,
@@ -62,3 +66,14 @@ def test_simulator_summary_fields_are_floats():
     for summary in (cipc.summary, lob.summary):
         fields = {name: type(getattr(summary, name)) for name in summary.__slots__}
         assert fields == {name: int if name == "trials" else float for name in fields}
+
+
+def test_rate_interval_fields_are_floats():
+    # One scenario's rate interval holds Python floats and a bool, as the
+    # batch form holds arrays; an infinite floor is a float too.
+    cp = fblsec.ConstraintPair(1e-6, 0.5)
+    with pytest.warns(RuntimeWarning, match="beta_e=1.0"):
+        certain = fblsec.rate_interval(500, 10.0, 1.0, fblsec.ConstraintPair(1e-6, 1.0), True)
+    for a in (fblsec.rate_interval(500, 10.0, 1.0, cp), fblsec.rate_interval(5, 1e-3, 1.0, cp), certain):
+        assert type(a) is fblsec.RateIntervals
+        assert [type(x) for x in a] == [float, float, float, bool]

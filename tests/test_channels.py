@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from fblsec.channels import (
-    ReciprocityError,
     RicianSpec,
     apply_reciprocity_error,
     sample_rayleigh,
     sample_rician,
     steering_vector,
 )
+from fblsec.cipc import CipcConfig
 from fblsec.numerics import RngSeed
+from fblsec.secrecy import ConstraintPair
 
 SEED = RngSeed(20260810, 0)
 
@@ -56,7 +57,7 @@ class TestPrefixStableBatches:
             lambda seed, size: sample_rayleigh(3, seed, size=size),
             lambda seed, size: sample_rician(RicianSpec(2.0, 0.3, 3), seed, size=size),
             lambda seed, size: apply_reciprocity_error(
-                np.ones((size, 3), dtype=complex), ReciprocityError(0.2), seed
+                np.ones((size, 3), dtype=complex), 0.2, seed
             ),
         ],
         ids=["rayleigh", "rician", "reciprocity"],
@@ -70,9 +71,8 @@ class TestPrefixStableBatches:
         assert np.array_equal(sample_rayleigh(3, SEED), sample_rayleigh(3, SEED, size=4)[0])
         assert np.array_equal(sample_rician(spec, SEED), sample_rician(spec, SEED, size=4)[0])
         h = sample_rayleigh(3, SEED.stream(5))
-        err = ReciprocityError(0.2)
         assert np.array_equal(
-            apply_reciprocity_error(h, err, SEED), apply_reciprocity_error(h[None], err, SEED)[0]
+            apply_reciprocity_error(h, 0.2, SEED), apply_reciprocity_error(h[None], 0.2, SEED)[0]
         )
 
 
@@ -140,31 +140,41 @@ class TestRician:
             RicianSpec(1.0, 0.0, 0)
 
 
+def _sigma_delta_refusals(value) -> list[str]:
+    """The messages with which CipcConfig and apply_reciprocity_error refuse value."""
+    messages = []
+    for make in (
+        lambda: CipcConfig(1.0, 10.0, 2, 0.01, 0.1, 500, ConstraintPair(1e-6, 0.5), value, 10, SEED),
+        lambda: apply_reciprocity_error(sample_rayleigh(4, SEED), value, SEED.stream(1)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            make()
+        messages.append(str(refused.value))
+    return messages
+
+
 class TestReciprocityError:
     def test_zero_error_exact_copy(self):
         h = sample_rayleigh(4, SEED)
-        h_u = apply_reciprocity_error(h, ReciprocityError(0.0), SEED.stream(1))
+        h_u = apply_reciprocity_error(h, 0.0, SEED.stream(1))
         assert np.array_equal(h_u, h)
         assert h_u is not h
 
     def test_deterministic(self):
         h = sample_rayleigh(4, SEED)
-        err = ReciprocityError(0.25)
-        a = apply_reciprocity_error(h, err, SEED.stream(1))
-        b = apply_reciprocity_error(h, err, SEED.stream(1))
+        a = apply_reciprocity_error(h, 0.25, SEED.stream(1))
+        b = apply_reciprocity_error(h, 0.25, SEED.stream(1))
         assert np.array_equal(a, b)
 
     def test_perturbation_power(self):
         h = sample_rayleigh(4, SEED, size=10**5)
-        h_u = apply_reciprocity_error(h, ReciprocityError(0.1), SEED.stream(1))
+        h_u = apply_reciprocity_error(h, 0.1, SEED.stream(1))
         mismatch = np.mean(np.abs(h_u - h) ** 2)
         assert mismatch == pytest.approx(0.01, rel=0.02)
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            ReciprocityError(-0.1)
+        assert _sigma_delta_refusals(-0.1) == ["sigma_delta must be finite and >= 0, got -0.1"] * 2
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1])
     def test_sigma_must_be_finite_and_nonnegative(self, value):
-        with pytest.raises(ValueError, match="sigma_delta must be finite and >= 0"):
-            ReciprocityError(value)
+        assert _sigma_delta_refusals(value) == [f"sigma_delta must be finite and >= 0, got {value!r}"] * 2

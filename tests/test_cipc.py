@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fblsec.channels import ReciprocityError, apply_reciprocity_error, sample_rayleigh
+from fblsec.channels import apply_reciprocity_error, sample_rayleigh
 from fblsec.cipc import CipcConfig, _q_objective, optimize_q, run_cipc
-from fblsec.fb_coding import ApproximationConfig
 from fblsec.numerics import RngSeed
 from fblsec.secrecy import ConstraintPair, RateIntervals, rate_interval
 
@@ -27,7 +26,7 @@ def make_config(**overrides) -> CipcConfig:
         noise_power_eve=0.1,
         blocklength=500,
         constraints=CP,
-        reciprocity=ReciprocityError(0.0),
+        sigma_delta=0.0,
         trials=400,
         seed=RngSeed(90210, 0),
     )
@@ -104,7 +103,7 @@ class TestRunCipc:
             assert len(column) == sent_count
 
     def test_deterministic(self):
-        cfg = make_config(reciprocity=ReciprocityError(0.1), trials=50)
+        cfg = make_config(sigma_delta=0.1, trials=50)
         a = run_cipc(cfg)
         b = run_cipc(cfg)
         for name in COLUMNS:
@@ -128,13 +127,13 @@ class TestRunCipc:
 
     def test_single_trial_reproducible_from_raw_streams(self):
         # Rebuild trial 0 by hand from row 0 of each role's keyed stream.
-        cfg = make_config(trials=1, reciprocity=ReciprocityError(0.2))
+        cfg = make_config(trials=1, sigma_delta=0.2)
         result = run_cipc(cfg)
         assert result.sent.tolist() == [True]
         base = cfg.seed.stream_id
         h_d = sample_rayleigh(cfg.n_antennas_tx, RngSeed(cfg.seed.master_seed, base))
         h_u = apply_reciprocity_error(
-            h_d, cfg.reciprocity, RngSeed(cfg.seed.master_seed, base + 1)
+            h_d, cfg.sigma_delta, RngSeed(cfg.seed.master_seed, base + 1)
         )
         g = sample_rayleigh(cfg.n_antennas_tx, RngSeed(cfg.seed.master_seed, base + 2))
         w = cipc_beamformer(h_d)
@@ -155,7 +154,7 @@ class TestRunCipc:
     def test_rx_power_varies_with_reciprocity_error(self):
         quiet = run_cipc(make_config(p_max=math.inf, trials=500))
         noisy = run_cipc(
-            make_config(p_max=math.inf, trials=500, reciprocity=ReciprocityError(0.2))
+            make_config(p_max=math.inf, trials=500, sigma_delta=0.2)
         )
         assert quiet.sent.all() and noisy.sent.all()
         var_quiet = np.var(quiet.rx_power_bob)
@@ -192,7 +191,7 @@ class TestRunCipc:
         # The k-th transmitted trial takes row k of the reciprocity and Eve
         # streams, whatever the suspended trials around it.
         cfg = make_config(
-            n_antennas_tx=1, p_max=1.0, trials=40, reciprocity=ReciprocityError(0.2)
+            n_antennas_tx=1, p_max=1.0, trials=40, sigma_delta=0.2
         )
         result = run_cipc(cfg)
         sent = np.flatnonzero(result.sent)
@@ -230,7 +229,7 @@ class TestRunCipc:
              r"^the transmit power overflows to inf: at q_target=1e\+308 and p_max=inf "),
             # A finite p_t, but the reciprocity error lifts Bob's gain above ||h_d||^2.
             (dict(trials=20, n_antennas_tx=4, q_target=1e308, p_max=1e308,
-                  reciprocity=ReciprocityError(0.5), seed=RngSeed(0)),
+                  sigma_delta=0.5, seed=RngSeed(0)),
              r"^Bob's received power overflows to inf: at q_target=1e\+308 it "),
             # Bob receives exactly Q; Eve's gain passes ||h_d||^2 on some trial.
             (dict(trials=200, q_target=1e308, p_max=1e308),
@@ -257,7 +256,7 @@ class TestRunCipc:
     def test_traced_peak_stays_below_five_channel_arrays(self):
         # The draw reduces each (trials, N) complex channel to real gains
         # as soon as it can, so they are never all alive at once.
-        cfg = make_config(n_antennas_tx=4, reciprocity=ReciprocityError(0.05), trials=200_000)
+        cfg = make_config(n_antennas_tx=4, sigma_delta=0.05, trials=200_000)
         run_cipc(make_config(trials=10))
         tracemalloc.start()
         try:
@@ -284,7 +283,7 @@ class TestClosedFormOracle:
             # N = 2, beta_e < 0.5 and the log term on.
             dict(n_antennas_tx=2, q_target=0.5, p_max=2.0, noise_power_bob=0.1,
                  noise_power_eve=0.5, constraints=ConstraintPair(1e-5, 0.1),
-                 approx=ApproximationConfig(include_log_term=True), seed=RngSeed(12)),
+                 log_term=True, seed=RngSeed(12)),
         ],
     )
     def test_matches_closed_form(self, overrides):

@@ -123,6 +123,16 @@ class TestFig3Command:
 
 
 class TestMetricCommands:
+    def test_fig2_at_a_subnormal_snr(self, tmp_path):
+        # 10^-323.6 rounds to the smallest subnormal; rate 0 lies below its
+        # capacity, where Q's argument overflows to +inf, and rate 1 above it.
+        out = tmp_path / "f.csv"
+        argv = ["fig2", "--out", str(out), "--snr-db", "-3236", "--rate-min", "0", "--rate-max", "1",
+                "--steps", "2", "--n-list", "10"]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[1:] == [
+            f"10,{0.0:.12e},{0.0:.12e}", f"10,{1.0:.12e},{1.0:.12e}"]
+
     def test_interval_equal_snrs_infeasible(self, capsys):
         assert main(["interval", "--n", "500", "--snr-b-db", "3", "--snr-e-db", "3"]) == 0
         out = capsys.readouterr().out
@@ -335,6 +345,12 @@ class TestErrorPaths:
     def test_fig2_non_finite_rate_names_the_flag(self, flag, value, tmp_path, capsys):
         assert main(["fig2", "--out", str(tmp_path / "f.csv"), f"{flag}={value}"]) == 2
         assert capsys.readouterr().err == f"error: invalid arguments: {flag} must be finite, got {float(value)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--rate-min", "-1"), ("--rate-max", "-0.5")])
+    def test_fig2_negative_rate_names_the_flag(self, flag, value, tmp_path, capsys):
+        assert main(["fig2", "--out", str(tmp_path / "f.csv"), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: invalid arguments: {flag} must be >= 0, got {float(value)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_io_failure(self, tmp_path):
@@ -820,10 +836,10 @@ def again(result):
         return type(result)(*(getattr(result, x.name) for x in dataclasses.fields(result)))
     return type(result)(*result)
 
-pair, approx, code = f.ConstraintPair(1e-6, 0.5), f.ApproximationConfig(True), f.CodeSpec(127, 10)
-err, seed, rician = f.ReciprocityError(0.1), f.RngSeed(7), f.RicianSpec(1.0, 0.2, 4)
-cipc = f.CipcConfig(1.0, 10.0, 2, 0.01, 0.1, 500, pair, err, 20, seed, approx)
-lob = f.LobConfig(4, 0.0, 0.35, 0.03, 10.0, 1.0, 1.0, 0.3, 0.01, 0.01, 500, pair, 20, seed, approx)
+pair, code = f.ConstraintPair(1e-6, 0.5), f.CodeSpec(127, 10)
+seed, rician = f.RngSeed(7), f.RicianSpec(1.0, 0.2, 4)
+cipc = f.CipcConfig(1.0, 10.0, 2, 0.01, 0.1, 500, pair, 0.1, 20, seed, True)
+lob = f.LobConfig(4, 0.0, 0.35, 0.03, 10.0, 1.0, 1.0, 0.3, 0.01, 0.01, 500, pair, 20, seed, True)
 thresholds = f.BerThresholds(1e-5, 0.45)
 h = f.sample_rayleigh(2, seed, 3)
 an, q = f.optimize_an_fraction(lob, [0.0, 0.3]), f.optimize_q(cipc, [0.5, 1.0])
@@ -835,7 +851,6 @@ batch = f.rate_interval_batch(500, np.array([10.0, 0.0]), np.ones(2), pair)
 # the fields of one.
 called = {
     "AnOptimum": again(an),
-    "ApproximationConfig": approx,
     "BerSecurityGap": again(ber_gap),
     "BerThresholds": thresholds,
     "CipcConfig": cipc,
@@ -848,13 +863,11 @@ called = {
     "LobSummary": again(lob_run.summary),
     "QOptimum": again(q),
     "RateIntervals": again(batch),
-    "ReciprocityError": err,
     "RicianSpec": rician,
     "RngSeed": seed,
-    "SecrecyAssessment": again(one),
     "SecurityGap": again(gap),
     "UnsatisfiableError": f.UnsatisfiableError("none"),
-    "apply_reciprocity_error": f.apply_reciprocity_error(h, err, seed),
+    "apply_reciprocity_error": f.apply_reciprocity_error(h, 0.1, seed),
     "be_cdf": f.be_cdf(code, 0.01, 10),
     "ber_security_gap": ber_gap,
     "binomial_cdf": f.binomial_cdf(3, 10, 0.2),
@@ -873,7 +886,6 @@ called = {
     "q_func": f.q_func(1.0),
     "q_func_inv": f.q_func_inv(1e-6),
     "r_inf": f.r_inf(500, 0.5, 1.0),
-    "r_sup": f.r_sup(500, 1e-6, 10.0),
     "rate_interval": one,
     "rate_interval_batch": batch,
     "run_cipc": cipc_run,

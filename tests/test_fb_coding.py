@@ -5,7 +5,6 @@ import pytest
 
 from fblsec import fb_coding
 from fblsec.fb_coding import (
-    ApproximationConfig,
     DISPERSION_LIMIT,
     LOG2_E,
     capacity,
@@ -17,9 +16,6 @@ from fblsec.fb_coding import (
 )
 
 from oracles import q_oracle
-
-LOG_TERM = ApproximationConfig(include_log_term=True)
-
 
 class TestDbConversion:
     @pytest.mark.parametrize("linear", [1e-6, 0.37, 1.0, 10.0, 12345.678])
@@ -99,9 +95,9 @@ class TestCapacityAndDispersionRange:
         assert (np.diff(cap) > 0.0).all()
         assert (np.diff(disp) >= 0.0).all()
         assert (disp > 0.0).all() and (disp <= DISPERSION_LIMIT).all()
-        for n, eps, cfg in [(500, 1e-6, ApproximationConfig()), (7, 0.3, LOG_TERM)]:
-            batch = fb_coding._rate_bound_batch(n, eps, gamma, cfg)
-            scalar = np.array([fb_coding._rate_bound(n, eps, g, cfg) for g in gamma.tolist()])
+        for n, eps, log_term in [(500, 1e-6, False), (7, 0.3, True)]:
+            batch = fb_coding._rate_bound_batch(n, eps, gamma, log_term)
+            scalar = np.array([fb_coding._rate_bound(n, eps, g, log_term) for g in gamma.tolist()])
             assert np.flatnonzero(batch.view(np.uint64) != scalar.view(np.uint64)).tolist() == []
 
 
@@ -142,7 +138,7 @@ class TestErrorProbability:
 
     def test_log_term_shifts_curve(self):
         base = error_probability(200, 1.0, 1.0)
-        shifted = error_probability(200, 1.0, 1.0, LOG_TERM)
+        shifted = error_probability(200, 1.0, 1.0, True)
         # The correction adds (log2 n)/(2n) to the rate margin, lowering eps.
         assert shifted < base
 
@@ -163,6 +159,11 @@ class TestErrorProbability:
         with pytest.raises(ValueError, match="finite argument, got nan"):
             error_probability(10, capacity(5e-324), 5e-324)
 
+    def test_rate_below_capacity_of_subnormal_snr_has_error_probability_zero(self):
+        # V underflows towards 0, so Q's argument overflows to +inf.
+        assert error_probability(10, 0.0, 5e-324) == 0.0
+        assert error_probability(10, capacity(5e-324) / 2, 5e-324, True) == 0.0
+
 
 class TestMaxRate:
     @pytest.mark.parametrize("n", [1, 7, 100, 4096])
@@ -179,13 +180,13 @@ class TestMaxRate:
     def test_approaches_capacity(self):
         assert max_rate(10**9, 1e-6, 2.0) == pytest.approx(capacity(2.0), abs=1e-3)
 
-    @pytest.mark.parametrize("cfg", [ApproximationConfig(), LOG_TERM])
+    @pytest.mark.parametrize("log_term", [False, True], ids=["cfg0", "cfg1"])
     @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9])
-    def test_round_trip(self, cfg, eps):
+    def test_round_trip(self, log_term, eps):
         for n, gamma in [(100, 1.0), (500, 10.0), (2000, 0.2)]:
-            rate = max_rate(n, eps, gamma, cfg)
+            rate = max_rate(n, eps, gamma, log_term)
             if rate > 0.0:
-                assert error_probability(n, rate, gamma, cfg) == pytest.approx(
+                assert error_probability(n, rate, gamma, log_term) == pytest.approx(
                     eps, abs=1e-9
                 )
 

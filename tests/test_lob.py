@@ -10,7 +10,6 @@ import pytest
 from fblsec.channels import sample_rician, steering_vector, RicianSpec
 from fblsec.lob import LobConfig, _gains, _sinr, optimize_an_fraction, run_lob
 from fblsec.numerics import RngSeed
-from fblsec.fb_coding import ApproximationConfig
 from fblsec.secrecy import ConstraintPair, RateIntervals, rate_interval_batch
 
 from oracles import an_basis, assess_sinr_pair, lob_beamformer
@@ -321,6 +320,14 @@ class TestRunLob:
         with pytest.raises(ValueError, match="location_error_std must be finite and >= 0"):
             make_config(location_error_std=value)
 
+    @pytest.mark.parametrize("name", ["k_factor_bob", "k_factor_eve"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_k_factor_refusal_names_the_field(self, name, value):
+        with pytest.raises(ValueError) as refused:
+            make_config(**{name: value})
+        assert str(refused.value) == f"{name} must be >= 0, got {value!r}"
+        make_config(**{name: math.inf})  # pure LOS
+
     def test_traced_peak_stays_below_five_channel_arrays(self):
         # Bob's (trials, N) channel is reduced to its gains before Eve's is drawn.
         cfg = make_config(location_error_std=math.radians(3.0), trials=200_000)
@@ -345,13 +352,12 @@ class TestZeroSinrMasks:
     @pytest.mark.parametrize("beta_e", [0.5, 0.7, 1.0])
     @pytest.mark.parametrize("log_term", [False, True])
     def test_matches_scalar_policy(self, beta_e, log_term):
-        approx = ApproximationConfig(include_log_term=log_term)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cp = ConstraintPair(1e-6, beta_e)
-            got = rate_interval_batch(100, self.SINR_BOB, self.SINR_EVE, cp, approx)
+            got = rate_interval_batch(100, self.SINR_BOB, self.SINR_EVE, cp, log_term)
             want = [
-                assess_sinr_pair(100, b, e, cp, approx)
+                assess_sinr_pair(100, b, e, cp, log_term)
                 for b, e in zip(self.SINR_BOB, self.SINR_EVE)
             ]
         for name in RateIntervals._fields:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from fblsec import fb_coding
 from fblsec.fb_coding import (
     SNR_BRACKET_DB,
-    ApproximationConfig,
     capacity,
     db_to_linear,
     dispersion,
     error_probability,
+    max_rate,
 )
 from fblsec.numerics import UnsatisfiableError, q_func_inv
 from fblsec.secrecy import (
@@ -22,7 +22,6 @@ from fblsec.secrecy import (
     RateIntervals,
     min_blocklength,
     r_inf,
-    r_sup,
     rate_interval,
     _simulated_intervals,
     rate_interval_batch,
@@ -57,14 +56,14 @@ class TestRateBounds:
     def test_r_sup_reference_point(self):
         # C(10) - sqrt(V(10)/500) * Qinv(1e-6), 50-digit evaluation:
         # 3.1540140204938694.
-        assert r_sup(500, 1e-6, GB) == pytest.approx(3.1540140204938694, rel=1e-12)
+        assert max_rate(500, 1e-6, GB) == pytest.approx(3.1540140204938694, rel=1e-12)
 
     def test_r_sup_asymptote(self):
-        assert r_sup(10**9, 1e-6, GB) == pytest.approx(capacity(GB), abs=1e-3)
+        assert max_rate(10**9, 1e-6, GB) == pytest.approx(capacity(GB), abs=1e-3)
 
     def test_r_sup_equals_capacity_at_half(self):
         for n in (1, 10, 1000):
-            assert r_sup(n, 0.5, GB) == capacity(GB)
+            assert max_rate(n, 0.5, GB) == capacity(GB)
 
     def test_r_inf_horizontal_at_half(self):
         for n in (10, 100, 1000, 10**4):
@@ -92,7 +91,7 @@ class TestRateBounds:
             assert r_inf(100, 1.0, GE) == math.inf
 
     def test_monotone_in_n(self):
-        sups = [r_sup(n, 1e-6, GB) for n in (50, 200, 800, 3200)]
+        sups = [max_rate(n, 1e-6, GB) for n in (50, 200, 800, 3200)]
         assert all(b > a for a, b in zip(sups, sups[1:]))
 
 
@@ -261,10 +260,9 @@ class TestMinBlocklength:
             assert rate_interval(n, GB, GE, CP).feasible
 
     def test_log_term_config_passed_through(self):
-        cfg = ApproximationConfig(include_log_term=True)
         # The correction enters ceiling and floor identically and cancels
         # in delta_r, so the crossover is unchanged.
-        assert min_blocklength(GB, GE, CP, cfg) == 8
+        assert min_blocklength(GB, GE, CP, True) == 8
 
     def test_reverse_monotone_direction(self):
         # beta_e < beta_b = 0.5 flips the sign of the 1/sqrt(n) term:
@@ -294,15 +292,14 @@ class TestMinBlocklengthAgainstScan:
     @settings(max_examples=200, deadline=None)
     def test_matches_linear_scan(self, snr_b_db, snr_e_db, beta_b, beta_e, log_term, n_max):
         gb, ge = db_to_linear(snr_b_db), db_to_linear(snr_e_db)
-        cfg = ApproximationConfig(include_log_term=log_term)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cp = ConstraintPair(beta_b, beta_e)
             scan = next(
-                (n for n in range(1, n_max + 1) if rate_interval(n, gb, ge, cp, cfg).feasible),
+                (n for n in range(1, n_max + 1) if rate_interval(n, gb, ge, cp, log_term).feasible),
                 None,
             )
-            assert min_blocklength(gb, ge, cp, cfg, n_max=n_max) == scan
+            assert min_blocklength(gb, ge, cp, log_term, n_max=n_max) == scan
 
 
 #: beta_e below, at and above 0.5, and 1 (a rate floor of +inf).
@@ -331,7 +328,7 @@ class TestSearchesMatchStepwiseOracles:
     @example(n=500, rate=1.0, beta_b=1e-6, beta_e=0.5, log_term=True)
     @settings(max_examples=300, deadline=None)
     def test_security_gap(self, n, rate, beta_b, beta_e, log_term):
-        args = (n, rate, _pair(beta_b, beta_e), ApproximationConfig(include_log_term=log_term))
+        args = (n, rate, _pair(beta_b, beta_e), log_term)
         assert exact_outcome(security_gap, *args) == exact_outcome(security_gap_search, *args)
 
     @given(
@@ -348,7 +345,7 @@ class TestSearchesMatchStepwiseOracles:
             db_to_linear(snr_b_db),
             db_to_linear(snr_e_db),
             _pair(beta_b, beta_e),
-            ApproximationConfig(include_log_term=log_term),
+            log_term,
             n_max,
         )
         assert exact_outcome(min_blocklength, *args) == exact_outcome(min_blocklength_search, *args)
@@ -387,7 +384,7 @@ class TestMinBlocklengthChecksOnce:
         ],
     )
     def test_validation_messages_unchanged(self, gamma_b, gamma_e, constraints, n_max, message):
-        args = (gamma_b, gamma_e, constraints, ApproximationConfig(), n_max)
+        args = (gamma_b, gamma_e, constraints, False, n_max)
         assert exact_outcome(min_blocklength, *args) == ("ValueError", message)
         assert exact_outcome(min_blocklength_search, *args) == ("ValueError", message)
 
@@ -420,13 +417,12 @@ class TestRateIntervalBatch:
         gb, ge = 10.0 ** rng.uniform(-6.0, 6.0, size=(2, size))
         gb[rng.random(size) < zero_share] = 0.0
         ge[rng.random(size) < zero_share] = 0.0
-        cfg = ApproximationConfig(include_log_term=log_term)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cp = ConstraintPair(beta_b, beta_e)
-            batch = rate_interval_batch(n, gb, ge, cp, cfg)
+            batch = rate_interval_batch(n, gb, ge, cp, log_term)
             # assess_sinr_pair is the scalar rate_interval when both SNRs are positive.
-            scalar = [assess_sinr_pair(n, b, e, cp, cfg) for b, e in zip(gb.tolist(), ge.tolist())]
+            scalar = [assess_sinr_pair(n, b, e, cp, log_term) for b, e in zip(gb.tolist(), ge.tolist())]
         for name in ("r_sup", "r_inf", "delta_r"):
             got = getattr(batch, name)
             want = np.array([getattr(a, name) for a in scalar])
@@ -505,7 +501,7 @@ class TestRateIntervalBatch:
         assert single.delta_r.shape == () and single.delta_r == rate_interval(500, GB, GE, CP).delta_r
 
     def test_simulated_intervals_names_only_an_overflow(self):
-        cfg = SimpleNamespace(blocklength=500, constraints=CP, approx=fb_coding.DEFAULT_APPROXIMATION,
+        cfg = SimpleNamespace(blocklength=500, constraints=CP, log_term=False,
                               noise_power_bob=1e-320, noise_power_eve=0.5)
         with pytest.raises(ValueError, match="Bob's SNR overflows to inf: .* noise_power_bob=1e-320"):
             _simulated_intervals(cfg, np.array([GB, math.inf]), np.array([GE, GE]), {}, "")

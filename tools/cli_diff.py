@@ -134,6 +134,13 @@ CASES = [
     _one("gap", "--n", "10", "--rate", "1e307"),
     _one("interval", "--n", "10", "--snr-b-db", "3090"),
     _one("fig2", "--out", "f.csv", "--rate-max", "inf"),
+    # a subnormal SNR, at which Q's argument reads +inf below capacity; a
+    # negative end of the rate grid; a bad K factor of either receiver
+    _one("fig2", "--out", "f.csv", "--snr-db", "-3236", "--rate-min", "0", "--rate-max", "1",
+         "--steps", "2", "--n-list", "10"),
+    _one("fig2", "--out", "f.csv", "--rate-min", "-1"),
+    _one("lob", "--trials", "3", "--k-bob", "-1"),
+    _one("lob", "--trials", "3", "--k-eve", "nan"),
     # both sides unsatisfiable: Bob's low bracket end is checked first
     _one("gap", "--n", "1", "--rate", "1e-9", "--beta-b", "0.6", "--beta-e", "1e-50"),
     _one("minblock", "--snr-b-db", "0", "--snr-e-db", "10", "--n-max", "1000", "--out", "m.csv"),
